@@ -33,6 +33,12 @@ class GaussianMixture:
     weights: np.ndarray  # (k,)
     attributes: tuple[int, ...]
     log_likelihood_history: list[float] = field(default_factory=list)
+    #: Lazily built ``(inverse Cholesky factors, log-density constants)``;
+    #: derived from the parameters above, which are never mutated after
+    #: construction, and left out of the pickled state.
+    _factors: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         m = len(self.attributes)
@@ -61,6 +67,11 @@ class GaussianMixture:
         if len(self.attributes) != m:
             raise ValueError("attributes must match subspace dimensionality")
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_factors"] = None
+        return state
+
     @property
     def num_components(self) -> int:
         return len(self.weights)
@@ -76,13 +87,17 @@ class GaussianMixture:
         norm = _logsumexp_rows(joint)
         return joint - norm[:, None]
 
+    def e_step(self, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Responsibilities ``p(component | x)`` and per-point
+        log-densities ``log p(x)`` from one log-joint evaluation."""
+        joint = self._log_joint(sub)
+        norm = _logsumexp_rows(joint)
+        return np.exp(joint - norm[:, None]), norm
+
     def assign(self, sub: np.ndarray) -> np.ndarray:
         """Hard argmax-posterior assignment (the paper's conversion of
         Gaussians into projected clusters)."""
         return np.argmax(self._log_joint(sub), axis=1)
-
-    def log_likelihood(self, sub: np.ndarray) -> float:
-        return float(_logsumexp_rows(self._log_joint(sub)).sum())
 
     def _as_batch(self, sub: np.ndarray) -> np.ndarray:
         """Normalise a point batch to ``(n, m)`` subspace coordinates.
@@ -105,32 +120,44 @@ class GaussianMixture:
             )
         return sub
 
+    def whitening(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each component factored once: the inverse Cholesky factors
+        ``L_j^-1`` (``(k, m, m)``, with ``Sigma_j = L_j L_j^T``) and the
+        constants ``log w_j - (m log 2pi + log det Sigma_j) / 2``."""
+        if self._factors is None:
+            k, m = self.means.shape
+            inverse = np.empty((k, m, m))
+            constants = np.empty(k)
+            for j in range(k):
+                chol, log_det = _safe_cholesky(self.covariances[j])
+                inverse[j] = np.linalg.inv(chol)
+                constants[j] = np.log(max(self.weights[j], 1e-300)) - 0.5 * (
+                    m * _LOG_2PI + log_det
+                )
+            self._factors = (inverse, constants)
+        return self._factors
+
     def _log_joint(self, sub: np.ndarray) -> np.ndarray:
+        """``log w_j + log N(x | mu_j, Sigma_j)`` per point (rows) and
+        component (columns): one whitening matmul per component,
+        ``z = L_j^-1 (x - mu_j)``, and the quadratic form is ``|z|^2``.
+
+        Computed column-major (each component's column contiguous), so
+        the per-point reductions over components stay vectorised.
+        """
         sub = self._as_batch(sub)
-        n = len(sub)
-        k = self.num_components
-        out = np.empty((n, k), dtype=float)
-        for j in range(k):
-            out[:, j] = np.log(max(self.weights[j], 1e-300)) + _gaussian_logpdf(
-                sub, self.means[j], self.covariances[j]
-            )
-        return out
+        inverse, constants = self.whitening()
+        columns = np.ascontiguousarray(sub.T)
+        out = np.empty((self.num_components, len(sub)), dtype=float)
+        for j in range(self.num_components):
+            z = inverse[j] @ (columns - self.means[j][:, None])
+            out[j] = constants[j] - 0.5 * np.square(z).sum(axis=0)
+        return out.T
 
 
 def _logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
     peak = matrix.max(axis=1, keepdims=True)
     return (peak + np.log(np.exp(matrix - peak).sum(axis=1, keepdims=True)))[:, 0]
-
-
-def _gaussian_logpdf(
-    points: np.ndarray, mean: np.ndarray, cov: np.ndarray
-) -> np.ndarray:
-    m = len(mean)
-    chol, log_det = _safe_cholesky(cov)
-    diff = points - mean
-    solved = np.linalg.solve(chol, diff.T)
-    quad = (solved**2).sum(axis=0)
-    return -0.5 * (m * _LOG_2PI + log_det + quad)
 
 
 def _safe_cholesky(cov: np.ndarray, ridge: float = 1e-9) -> tuple[np.ndarray, float]:
@@ -242,18 +269,20 @@ def fit_em(
     improvement drops below ``tol``.
     """
     sub = init.project(data)
-    means = init.means.copy()
-    covs = init.covariances.copy()
-    weights = init.weights.copy()
     history: list[float] = []
-    mixture = GaussianMixture(means, covs, weights, init.attributes)
+    mixture = GaussianMixture(
+        init.means, init.covariances, init.weights, init.attributes
+    )
 
     for _ in range(max_iter):
-        log_resp = mixture.log_responsibilities(sub)
-        history.append(mixture.log_likelihood(sub))
-        resp = np.exp(log_resp)
+        resp, log_density = mixture.e_step(sub)
+        history.append(float(log_density.sum()))
         totals = resp.sum(axis=0)
         k = mixture.num_components
+        # Fresh arrays each iteration: the previous mixture keeps its
+        # parameters (and the factors derived from them) intact.
+        means = np.empty_like(mixture.means)
+        covs = np.empty_like(mixture.covariances)
         for j in range(k):
             means[j], covs[j] = _moments(sub, resp[:, j], reg)
         weights = np.clip(totals / len(sub), 1e-12, None)

@@ -61,6 +61,7 @@ from repro.mapreduce.fs import (
 )
 from repro.mapreduce.job import (
     BatchMapper,
+    BufferedBatchMapper,
     Combiner,
     Context,
     HashPartitioner,
@@ -92,6 +93,7 @@ from repro.mapreduce.scheduler import (  # noqa: E402
 
 __all__ = [
     "BatchMapper",
+    "BufferedBatchMapper",
     "CacheHandle",
     "calibrate_from_events",
     "chain_fingerprint",

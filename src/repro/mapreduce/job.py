@@ -101,6 +101,37 @@ class BatchMapper(Mapper):
         )
 
 
+class BufferedBatchMapper(BatchMapper):
+    """A :class:`BatchMapper` that buffers its split and computes once in
+    :meth:`cleanup` (the split-caching pattern of paper Section 5.5).
+
+    Chunked deliveries are joined back into the whole split:
+    :meth:`split_block` is the ``(n, d)`` block (``None`` for an empty
+    split) and :meth:`split_keys` the aligned record keys as int64 row
+    indices.
+    """
+
+    def setup(self, context: Context) -> None:
+        self._keys: list[Sequence[Any]] = []
+        self._blocks: list[np.ndarray] = []
+
+    def map_batch(
+        self, keys: Sequence[Any], block: np.ndarray, context: Context
+    ) -> None:
+        self._keys.append(keys)
+        self._blocks.append(block)
+
+    def split_block(self) -> np.ndarray | None:
+        if not self._blocks:
+            return None
+        if len(self._blocks) == 1:
+            return self._blocks[0]
+        return np.concatenate(self._blocks)
+
+    def split_keys(self) -> np.ndarray:
+        return np.concatenate([np.asarray(k, dtype=np.int64) for k in self._keys])
+
+
 class Reducer:
     """Base reducer.  ``reduce`` receives one key with all its values."""
 

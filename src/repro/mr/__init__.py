@@ -8,16 +8,18 @@ Each module maps onto one subsection of Section 5:
 - :mod:`repro.mr.support`      — 5.3 candidate proving job,
 - :mod:`repro.mr.core_generation` — Algorithm 1 with the multi-level
   candidate-collection heuristic,
-- :mod:`repro.mr.em_jobs`      — 5.4 EM as 2 MR jobs per iteration,
-- :mod:`repro.mr.outlier_jobs` — 5.5 OD job and the MVB jobs,
+- :mod:`repro.mr.em_jobs`      — 5.4 EM, one fused MR job per iteration
+  (the paper's sums + covariance pair in one centred pass),
+- :mod:`repro.mr.outlier_jobs` — 5.5 OD job (the serving scorer's
+  batched ``assign``) and the MVB jobs,
 - :mod:`repro.mr.attribute_jobs` — 5.6 attribute inspection,
 - :mod:`repro.mr.tightening_job` — 5.7 interval tightening,
 - :mod:`repro.mr.p3c_mr`       — the full P3C+-MR driver,
 - :mod:`repro.mr.p3c_mr_light` — the P3C+-MR-Light driver (Section 6).
 """
 
-from repro.mr.p3c_mr import P3CPlusMR, P3CPlusMRConfig
+from repro.mr.p3c_mr import P3CPlusMR, P3CPlusMRConfig, paper_plan_jobs
 from repro.mr.p3c_mr_light import P3CPlusMRLight
 from repro.mr.rssc import RSSC
 
-__all__ = ["P3CPlusMR", "P3CPlusMRConfig", "P3CPlusMRLight", "RSSC"]
+__all__ = ["P3CPlusMR", "P3CPlusMRConfig", "P3CPlusMRLight", "RSSC", "paper_plan_jobs"]

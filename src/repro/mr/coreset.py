@@ -41,9 +41,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
+from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
+from repro.mr.histogram import reject_non_finite
 
 _SUMMARY_KEY_PREFIX = "coreset"
 
@@ -99,7 +100,7 @@ def allocate_quotas(sizes: dict[int, int], size: int) -> dict[int, int]:
     return quotas
 
 
-class CoresetMapper(BatchMapper):
+class CoresetMapper(BufferedBatchMapper):
     """Samples this split's share of the summary in one pass.
 
     Blocks are buffered across chunked ``map_batch`` deliveries (the
@@ -108,22 +109,21 @@ class CoresetMapper(BatchMapper):
     """
 
     def setup(self, context: Context) -> None:
+        super().setup(context)
         self._quotas: dict[int, int] = context.cache["quotas"]
         self._seed: int = int(context.cache["seed"])
         self._mode: str = context.cache["mode"]
-        self._blocks: list[np.ndarray] = []
 
     def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
-        self._blocks.append(np.asarray(block, dtype=float))
+        # The summary scan is the coreset path's only full pass before
+        # the fit, so it is where non-finite rows are rejected.
+        reject_non_finite(keys, block)
+        super().map_batch(keys, np.asarray(block, dtype=float), context)
 
     def cleanup(self, context: Context) -> None:
-        if not self._blocks:
+        data = self.split_block()
+        if data is None:
             return
-        data = (
-            self._blocks[0]
-            if len(self._blocks) == 1
-            else np.concatenate(self._blocks)
-        )
         split_id = int(context.task_id)
         quota = int(self._quotas.get(split_id, 0))
         if quota <= 0:
@@ -203,7 +203,7 @@ def build_coreset(
     )
 
 
-class AssignMapper(BatchMapper):
+class AssignMapper(BufferedBatchMapper):
     """Map-only full-data labelling against a fitted model.
 
     Emits one packed ``(2, n_split)`` int64 array per split —
@@ -212,30 +212,17 @@ class AssignMapper(BatchMapper):
     """
 
     def setup(self, context: Context) -> None:
+        super().setup(context)
         self._model = context.cache["fitted_model"]
-        self._keys: list[Any] = []
-        self._blocks: list[np.ndarray] = []
-
-    def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
-        self._keys.append(np.asarray(keys, dtype=np.int64))
-        self._blocks.append(block)
 
     def cleanup(self, context: Context) -> None:
-        if not self._blocks:
+        data = self.split_block()
+        if data is None:
             return
-        data = (
-            self._blocks[0]
-            if len(self._blocks) == 1
-            else np.concatenate(self._blocks)
-        )
-        keys = (
-            self._keys[0]
-            if len(self._keys) == 1
-            else np.concatenate(self._keys)
-        )
         labels = self._model.assign(data).cluster_ids
         context.emit(
-            int(context.task_id), np.stack([keys, labels.astype(np.int64)])
+            int(context.task_id),
+            np.stack([self.split_keys(), labels.astype(np.int64)]),
         )
 
 

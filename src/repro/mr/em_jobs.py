@@ -1,18 +1,30 @@
 """EM as MapReduce jobs (paper Section 5.4).
 
-Sample means and covariances are computed by two MR jobs:
+Every moment estimate — sample means and covariances of all ``k``
+clusters — is **one** MR job.  Its mapper evaluates the per-point
+weights ``w_Ci`` once and accumulates, per cluster ``C``:
 
-- the *sums* job accumulates, per cluster ``C``, the weighted linear sum
-  ``l_C = sum_i w_Ci x_i``, the weight sum ``w_C`` and the squared
-  weight sum ``w_C2`` (plus, during EM iterations, the data
-  log-likelihood so the driver can test convergence);
-- the *covariance* job, given the means ``mu_C = l_C / w_C`` via the
-  distributed cache, accumulates ``sum_i w_Ci (x_i - mu_C)(x_i - mu_C)^T``
-  and the driver applies the unbiased scale
-  ``w_C / (w_C^2 - w_C2)``.
+- the linear sum about a centre ``c_C``, ``l_C = sum_i w_Ci (x_i - c_C)``,
+- the weight sum ``w_C`` and the squared weight sum ``w_C2``,
+- the scatter about the same centre,
+  ``S_C = sum_i w_Ci (x_i - c_C)(x_i - c_C)^T``,
+- during EM iterations, the data log-likelihood, taken from the same
+  log-joint as the responsibilities so the driver can test convergence.
+
+The driver ships the centres and finalises ``mu_C = c_C + l_C / w_C``
+and the scatter about the mean, ``S_C - w_C d d^T`` with
+``d = l_C / w_C``, under the paper's unbiased scale
+``w_C / (w_C^2 - w_C2)``.  The paper runs a sums job and then a
+covariance job that needs the finished means (two jobs per estimate);
+the centred scatter folds both into one pass.  The centre is the
+previous estimate of the cluster's mean, so ``d`` is small and the
+subtraction loses almost nothing: the core-signature midpoints for the
+first initialisation pass, the first pass's means for the second, the
+previous mixture's means for an EM iteration, and the ball centres for
+the MVB moments (DESIGN.md has the error bound).
 
 The per-point weights ``w_Ci`` are supplied by a *weight model* shipped
-in the cache; the same two jobs therefore serve the EM initialisation
+in the cache; the same job therefore serves the EM initialisation
 (hard support-set weights, then support-set + assigned strays), the EM
 iterations (posterior responsibilities) and the MVB moment computation
 (hard inside-ball weights) — exactly the reuse the paper describes.
@@ -39,7 +51,7 @@ import numpy as np
 from repro.core.em import GaussianMixture
 from repro.core.stats import mahalanobis_squared
 from repro.core.types import Signature
-from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
+from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.job import ArraySumCombiner
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
@@ -48,34 +60,50 @@ from repro.mr.weights import canonical_weights, take_weights
 
 
 class WeightModel:
-    """Computes an (n_split, k) weight matrix for a block of points.
+    """Computes an (n_split, k) weight matrix for a block of points and
+    names the centre each cluster's scatter is accumulated about.
 
     ``data`` is the block in full-space coordinates; implementations
     project to their subspace as needed.
     """
 
-    def weights(self, data: np.ndarray) -> np.ndarray:
+    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The weight matrix, plus the per-point log-densities when the
+        weights are a mixture's responsibilities (``None`` otherwise)."""
+        raise NotImplementedError
+
+    def centers(self, attributes: tuple[int, ...]) -> np.ndarray:
+        """``(k, m)`` scatter centres in ``attributes`` coordinates."""
         raise NotImplementedError
 
 
 class CoreSupportWeights(WeightModel):
     """Hard weights: 1 iff the point is in the core's support set
-    (EM-initialisation pass 1)."""
+    (EM-initialisation pass 1); centred at the signature midpoints."""
 
     def __init__(self, signatures: list[Signature]) -> None:
         self.signatures = signatures
 
-    def weights(self, data: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [sig.support_mask(data).astype(float) for sig in self.signatures],
-            axis=1,
-        )
+    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, None]:
+        masks = [sig.support_mask(data).astype(float) for sig in self.signatures]
+        return np.stack(masks, axis=1), None
+
+    def centers(self, attributes: tuple[int, ...]) -> np.ndarray:
+        column = {a: i for i, a in enumerate(attributes)}
+        out = np.full((len(self.signatures), len(attributes)), 0.5)
+        for j, sig in enumerate(self.signatures):
+            for interval in sig:
+                if interval.attribute in column:
+                    out[j, column[interval.attribute]] = 0.5 * (
+                        interval.lower + interval.upper
+                    )
+        return out
 
 
-class SupportPlusStrayWeights(WeightModel):
+class SupportPlusStrayWeights(CoreSupportWeights):
     """Support-set weights, with stray points (outside every support
     set) assigned to the Mahalanobis-nearest core (EM-initialisation
-    pass 2, Section 5.4)."""
+    pass 2, Section 5.4); centred at the pass-1 means."""
 
     def __init__(
         self,
@@ -84,16 +112,13 @@ class SupportPlusStrayWeights(WeightModel):
         covariances: np.ndarray,
         attributes: tuple[int, ...],
     ) -> None:
-        self.signatures = signatures
+        super().__init__(signatures)
         self.means = means
         self.covariances = covariances
         self.attributes = attributes
 
-    def weights(self, data: np.ndarray) -> np.ndarray:
-        base = np.stack(
-            [sig.support_mask(data).astype(float) for sig in self.signatures],
-            axis=1,
-        )
+    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, None]:
+        base, _ = super().evaluate(data)
         stray = base.sum(axis=1) == 0
         if stray.any():
             sub = data[np.ix_(stray, list(self.attributes))]
@@ -107,36 +132,30 @@ class SupportPlusStrayWeights(WeightModel):
             nearest = np.argmin(distances, axis=1)
             stray_rows = np.where(stray)[0]
             base[stray_rows, nearest] = 1.0
-        return base
+        return base, None
+
+    def centers(self, attributes: tuple[int, ...]) -> np.ndarray:
+        return self.means
 
 
 class ResponsibilityWeights(WeightModel):
     """Soft weights: posterior responsibilities of the current mixture
-    (one EM iteration's E-step)."""
+    (one EM iteration's E-step); centred at the mixture's means."""
 
     def __init__(self, mixture: GaussianMixture) -> None:
         self.mixture = mixture
 
-    def weights(self, data: np.ndarray) -> np.ndarray:
-        sub = self.mixture.project(data)
-        return np.exp(self.mixture.log_responsibilities(sub))
+    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.mixture.e_step(self.mixture.project(data))
 
-    def log_likelihood(
-        self, data: np.ndarray, point_weights: np.ndarray | None = None
-    ) -> float:
-        sub = self.mixture.project(data)
-        if point_weights is None:
-            return self.mixture.log_likelihood(sub)
-        from repro.core.em import _logsumexp_rows
-
-        per_point = _logsumexp_rows(self.mixture._log_joint(sub))
-        return float(np.dot(point_weights, per_point))
+    def centers(self, attributes: tuple[int, ...]) -> np.ndarray:
+        return self.mixture.means
 
 
 class InsideBallWeights(WeightModel):
     """Hard weights: 1 iff the point is assigned to the cluster *and*
     lies inside the cluster's minimum volume ball (MVB moments,
-    Section 5.5)."""
+    Section 5.5); centred at the ball centres."""
 
     def __init__(
         self,
@@ -145,10 +164,10 @@ class InsideBallWeights(WeightModel):
         radii: np.ndarray,
     ) -> None:
         self.mixture = mixture
-        self.centers = centers
+        self.ball_centers = centers
         self.radii = radii
 
-    def weights(self, data: np.ndarray) -> np.ndarray:
+    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, None]:
         sub = self.mixture.project(data)
         assignment = self.mixture.assign(sub)
         k = self.mixture.num_components
@@ -158,156 +177,89 @@ class InsideBallWeights(WeightModel):
             if not members.any():
                 continue
             inside = (
-                np.linalg.norm(sub[members] - self.centers[j], axis=1)
+                np.linalg.norm(sub[members] - self.ball_centers[j], axis=1)
                 <= self.radii[j]
             )
             rows = np.where(members)[0]
             out[rows[inside], j] = 1.0
-        return out
+        return out, None
+
+    def centers(self, attributes: tuple[int, ...]) -> np.ndarray:
+        return self.ball_centers
 
 
 _SUMS_KEY = "moment_sums"
-_COV_KEY = "cov_sums"
-_LL_KEY = "log_likelihood"
 
 
-class _SplitBlockMapper(BatchMapper):
-    """Shared base: buffers the split as whole blocks, exposes it in
-    cleanup as one ``(n, d)`` array (``None`` for an empty split) plus
-    the per-row point weights when the job carries them."""
+class MomentSumsMapper(BufferedBatchMapper):
+    """Accumulates the centred sums of one moment estimate for its split.
 
-    def setup(self, context: Context) -> None:
-        self._blocks: list[np.ndarray] = []
-        self._key_blocks: list[Any] = []
-        self._point_weights: np.ndarray | None = context.cache.get(
-            "point_weights"
-        )
-
-    def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
-        self._blocks.append(block)
-        if self._point_weights is not None:
-            self._key_blocks.append(keys)
-
-    def _split_data(self) -> np.ndarray | None:
-        if not self._blocks:
-            return None
-        if len(self._blocks) == 1:
-            return self._blocks[0]
-        return np.concatenate(self._blocks)
-
-    def _split_weights(self) -> np.ndarray | None:
-        """Per-row weights aligned with :meth:`_split_data` (or None)."""
-        if self._point_weights is None or not self._key_blocks:
-            return None
-        if len(self._key_blocks) == 1:
-            return take_weights(self._point_weights, self._key_blocks[0])
-        return np.concatenate(
-            [take_weights(self._point_weights, k) for k in self._key_blocks]
-        )
-
-
-class MomentSumsMapper(_SplitBlockMapper):
-    """Accumulates l_C, w_C and w_C2 for its split.
-
-    The three sums (and, during EM iterations, the split's
-    log-likelihood) are packed into **one** ``(k, m+2)`` — or
-    ``(k+1, m+2)`` with the LL row — float array per split: columns are
-    ``[linear | w_C | w_C2]``, the optional last row is
-    ``[ll, 0, ..., 0]``.  A single fixed-shape ndarray value rides the
-    columnar shuffle plane (one block concat instead of per-tuple
-    pickling); the reducer unpacks back to the historical output
-    shape, so nothing downstream changes.
+    Everything is packed into **one** ``(k + 1, m + 2 + m*m)`` float
+    array per split — row ``C`` is ``[l_C | w_C | w_C2 | S_C (flat)]``
+    and the last row is ``[log-likelihood, 0, ..., 0]`` — a single
+    fixed-shape value that rides the columnar shuffle plane and adds up
+    across splits.
     """
 
     def setup(self, context: Context) -> None:
         super().setup(context)
         self._model: WeightModel = context.cache["weight_model"]
         self._attributes: tuple[int, ...] = context.cache["attributes"]
+        self._centers: np.ndarray = context.cache["centers"]
+        self._point_weights: np.ndarray | None = context.cache.get(
+            "point_weights"
+        )
 
     def cleanup(self, context: Context) -> None:
-        data = self._split_data()
+        data = self.split_block()
         if data is None:
             return
-        weights = self._model.weights(data)
-        point_weights = self._split_weights()
-        if point_weights is not None:
+        weights, log_density = self._model.evaluate(data)
+        point_weights = None
+        if self._point_weights is not None:
+            point_weights = take_weights(self._point_weights, self.split_keys())
             weights = weights * point_weights[:, None]
-        sub = data[:, list(self._attributes)]
-        linear = weights.T @ sub
-        weight_sum = weights.sum(axis=0)
-        weight_sq = (weights**2).sum(axis=0)
-        packed = np.concatenate(
-            [linear, weight_sum[:, None], weight_sq[:, None]], axis=1
-        )
-        if isinstance(self._model, ResponsibilityWeights):
-            ll_row = np.zeros((1, packed.shape[1]))
-            ll_row[0, 0] = self._model.log_likelihood(data, point_weights)
-            packed = np.concatenate([packed, ll_row], axis=0)
+        # Transposed (m, n) block and (k, n) weights: every per-cluster
+        # product below runs over contiguous rows of length n.
+        columns = np.ascontiguousarray(data[:, list(self._attributes)].T)
+        weight_rows = np.ascontiguousarray(weights.T)
+        k, m = self._centers.shape
+        packed = np.zeros((k + 1, m + 2 + m * m))
+        for j in range(k):
+            w = weight_rows[j]
+            diff = columns - self._centers[j][:, None]
+            weighted = diff * w
+            # Plain sums, not BLAS gemv/dot: those run multi-threaded,
+            # and a process's first calls stalled for up to a second on
+            # a 2-vCPU host.
+            packed[j, :m] = weighted.sum(axis=1)
+            packed[j, m] = w.sum()
+            packed[j, m + 1] = np.square(w).sum()
+            packed[j, m + 2 :] = (weighted @ diff.T).ravel()
+        if log_density is not None:
+            packed[k, 0] = (
+                log_density.sum()
+                if point_weights is None
+                else np.dot(point_weights, log_density)
+            )
         context.emit(_SUMS_KEY, packed)
 
 
 class MomentSumsReducer(Reducer):
-    """Unpacks the mappers' packed sum blocks to the historical output:
-    a ``(linear, w_C, w_C2)`` tuple under ``moment_sums`` plus, when the
-    weight model carries one, the total LL under ``log_likelihood``."""
+    """Adds the mappers' packed sum blocks (one fresh array)."""
 
-    def reduce(self, key: str, values: list[Any], context: Context) -> None:
-        has_ll = isinstance(
-            context.cache["weight_model"], ResponsibilityWeights
-        )
-        k = values[0].shape[0] - (1 if has_ll else 0)
-        m = values[0].shape[1] - 2
-        total = sum(v[:k] for v in values)
-        context.emit(key, (total[:, :m], total[:, m], total[:, m + 1]))
-        if has_ll:
-            context.emit(
-                _LL_KEY, float(np.sum(np.asarray([v[k, 0] for v in values])))
-            )
-
-
-class CovarianceSumsMapper(_SplitBlockMapper):
-    """Accumulates sum_i w_Ci (x_i - mu_C)(x_i - mu_C)^T per cluster."""
-
-    def setup(self, context: Context) -> None:
-        super().setup(context)
-        self._model: WeightModel = context.cache["weight_model"]
-        self._attributes: tuple[int, ...] = context.cache["attributes"]
-        self._means: np.ndarray = context.cache["means"]
-
-    def cleanup(self, context: Context) -> None:
-        data = self._split_data()
-        if data is None:
-            return
-        weights = self._model.weights(data)
-        point_weights = self._split_weights()
-        if point_weights is not None:
-            weights = weights * point_weights[:, None]
-        sub = data[:, list(self._attributes)]
-        k = weights.shape[1]
-        m = sub.shape[1]
-        scatter = np.zeros((k, m, m))
-        for j in range(k):
-            diff = sub - self._means[j]
-            scatter[j] = (weights[:, j][:, None] * diff).T @ diff
-        context.emit(_COV_KEY, scatter)
-
-
-class CovarianceSumsReducer(Reducer):
     def reduce(self, key: str, values: list[np.ndarray], context: Context) -> None:
         context.emit(key, sum_partials(values))
 
 
 def finalize_moments(
-    linear: np.ndarray,
-    weight_sum: np.ndarray,
-    weight_sq: np.ndarray,
-    scatter: np.ndarray,
-    reg: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Turn reduced sums into (means, covariances) with the paper's
-    weighted-covariance scale and the same degenerate-cluster handling
-    as :func:`repro.core.em._moments`."""
-    k, m = linear.shape
+    centers: np.ndarray, packed: np.ndarray, reg: float = 1e-6
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Turn the reduced centred sums into ``(means, covariances,
+    weight_sums)`` with the paper's weighted-covariance scale and the
+    same degenerate-cluster handling as :func:`repro.core.em._moments`."""
+    k, m = centers.shape
+    weight_sum = packed[:k, m]
     means = np.empty((k, m))
     covs = np.empty((k, m, m))
     for j in range(k):
@@ -316,14 +268,16 @@ def finalize_moments(
             means[j] = np.full(m, 0.5)
             covs[j] = np.eye(m) / 12.0
             continue
-        means[j] = linear[j] / total
-        denominator = total**2 - weight_sq[j]
+        offset = packed[j, :m] / total
+        means[j] = centers[j] + offset
+        scatter = packed[j, m + 2 :].reshape(m, m) - total * np.outer(offset, offset)
+        denominator = total**2 - packed[j, m + 1]
         scale = total / denominator if denominator > 0 else 1.0 / total
-        covs[j] = scale * scatter[j] + reg * np.eye(m)
-    return means, covs
+        covs[j] = scale * scatter + reg * np.eye(m)
+    return means, covs, weight_sum
 
 
-def run_moment_jobs(
+def run_moment_job(
     chain: JobChain,
     splits: list[InputSplit],
     weight_model: WeightModel,
@@ -332,7 +286,8 @@ def run_moment_jobs(
     reg: float = 1e-6,
     point_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
-    """Run the sums + covariance job pair and finalise the moments.
+    """Run one moment estimate as a single MR job (step
+    ``<step_prefix>_sums``) and finalise it.
 
     Returns ``(means, covariances, weight_sums, log_likelihood)``;
     the log-likelihood is ``None`` unless the weight model is a
@@ -340,41 +295,29 @@ def run_moment_jobs(
 
     ``point_weights`` (the coreset fast path) multiply into the model's
     weight matrix, turning every moment into its weighted counterpart.
-
-    The covariance job's mappers need the means, so they are shipped in
-    its cache — the means computed by the sums job must be finalised by
-    the driver in between, exactly the two-job dependency of Section 5.4.
     """
     point_weights = canonical_weights(point_weights)
-    sums_cache: dict[str, Any] = {
+    centers = np.asarray(weight_model.centers(attributes), dtype=float)
+    cache: dict[str, Any] = {
         "weight_model": weight_model,
         "attributes": attributes,
+        "centers": centers,
     }
     if point_weights is not None:
-        sums_cache["point_weights"] = point_weights
-    sums_job = Job(
+        cache["point_weights"] = point_weights
+    job = Job(
         mapper_factory=MomentSumsMapper,
         reducer_factory=MomentSumsReducer,
         combiner_factory=ArraySumCombiner,
-        cache=DistributedCache(sums_cache),
+        cache=DistributedCache(cache),
     )
-    sums_result = chain.run(f"{step_prefix}_sums", sums_job, splits).as_dict()
-    linear, weight_sum, weight_sq = sums_result[_SUMS_KEY]
-    log_likelihood = sums_result.get(_LL_KEY)
-
-    k, m = linear.shape
-    means = np.where(
-        weight_sum[:, None] > 0, linear / np.maximum(weight_sum[:, None], 1e-300), 0.5
+    packed = chain.run(f"{step_prefix}_sums", job, splits).as_dict()[_SUMS_KEY]
+    means, covs, weight_sum = finalize_moments(centers, packed, reg)
+    log_likelihood = (
+        float(packed[len(centers), 0])
+        if isinstance(weight_model, ResponsibilityWeights)
+        else None
     )
-
-    cov_job = Job(
-        mapper_factory=CovarianceSumsMapper,
-        reducer_factory=CovarianceSumsReducer,
-        combiner_factory=ArraySumCombiner,
-        cache=DistributedCache({**sums_cache, "means": means}),
-    )
-    scatter = chain.run(f"{step_prefix}_cov", cov_job, splits).as_dict()[_COV_KEY]
-    means, covs = finalize_moments(linear, weight_sum, weight_sq, scatter, reg)
     return means, covs, weight_sum, log_likelihood
 
 
@@ -390,7 +333,7 @@ def run_em_mr(
     point_weights: np.ndarray | None = None,
 ) -> GaussianMixture:
     """Full MR-side EM: two-pass initialisation from cluster cores, then
-    two MR jobs per EM iteration (Section 5.4), mirroring
+    one MR job per EM iteration (Section 5.4), mirroring
     :func:`repro.core.em.initialize_from_cores` + :func:`repro.core.em.fit_em`.
 
     With ``point_weights`` (the coreset fast path) every moment is
@@ -413,7 +356,7 @@ def run_em_mr(
     signatures = [core.signature for core in cores]
 
     # Initialisation pass 1: support-set moments.
-    means, covs, _, _ = run_moment_jobs(
+    means, covs, _, _ = run_moment_job(
         chain,
         splits,
         CoreSupportWeights(signatures),
@@ -423,7 +366,7 @@ def run_em_mr(
     )
     # Initialisation pass 2: support sets + Mahalanobis-assigned strays.
     stray_model = SupportPlusStrayWeights(signatures, means, covs, attributes)
-    means, covs, weight_sum, _ = run_moment_jobs(
+    means, covs, weight_sum, _ = run_moment_job(
         chain,
         splits,
         stray_model,
@@ -441,7 +384,7 @@ def run_em_mr(
     history: list[float] = []
     for iteration in range(max_iter):
         model = ResponsibilityWeights(mixture)
-        means, covs, totals, log_likelihood = run_moment_jobs(
+        means, covs, totals, log_likelihood = run_moment_job(
             chain,
             splits,
             model,
@@ -449,9 +392,8 @@ def run_em_mr(
             f"em_iter{iteration}",
             point_weights=point_weights,
         )
-        if log_likelihood is not None:
-            history.append(log_likelihood)
-            obs.record("em.log_likelihood", log_likelihood)
+        history.append(log_likelihood)
+        obs.record("em.log_likelihood", log_likelihood)
         weights = np.clip(totals / normalizer, 1e-12, None)
         weights /= weights.sum()
         mixture = GaussianMixture(

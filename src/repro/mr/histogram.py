@@ -12,6 +12,12 @@ are global row indices), so chunked ``map_batch`` deliveries of one
 split stay consistent.  Unit weights are canonicalised away up front —
 an all-ones vector runs the integer kernel and is bitwise-identical to
 the unweighted path.
+
+The histogram job is the first scan over the full data, so it also
+rejects non-finite values (:func:`reject_non_finite`): in-memory fits
+validate the matrix up front, but file-backed splits reach the chain
+unread.  Finite values slightly outside [0, 1] still clamp to the
+boundary bins.
 """
 
 from __future__ import annotations
@@ -31,6 +37,18 @@ from repro.mr.weights import canonical_weights, take_weights
 _KEY = "histogram"
 
 
+def reject_non_finite(keys: Any, block: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first input row of ``block`` that
+    holds a NaN or infinite value."""
+    if not np.isfinite(block).all():
+        finite = np.isfinite(block).all(axis=1)
+        row = int(np.asarray(keys)[np.argmin(finite)])
+        raise ValueError(
+            f"input row {row} has a non-finite value; every attribute "
+            "must be a finite number normalised to [0, 1]"
+        )
+
+
 class HistogramMapper(BatchMapper):
     """Accumulates one (d x m) partial histogram per split.
 
@@ -45,6 +63,7 @@ class HistogramMapper(BatchMapper):
         self._counts: np.ndarray | None = None
 
     def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
+        reject_non_finite(keys, block)
         d = block.shape[1]
         if self._counts is None:
             dtype = np.int64 if self._weights is None else np.float64

@@ -4,14 +4,19 @@
   probable mixture component and writes the point back "augmented with
   an additional membership attribute" set to the cluster id, or -1 for
   outliers (squared Mahalanobis distance above the chi-squared critical
-  value).
+  value).  The job is the serving scorer itself: the driver builds the
+  :class:`~repro.serving.FittedModel` first and the OD mappers run its
+  batched ``assign`` (the coreset path's
+  :class:`~repro.mr.coreset.AssignMapper`), so the fit's outlier
+  verdict and the serving verdict are one computation.
 - **MVB mean/radius job** — each mapper caches its split, computes the
   dimension-wise median ``m_C^j`` and median-distance radius ``r_C^j``
   of its split's members per cluster, and the reducer aggregates by
   taking the dimension-wise median of the mapper means and the median
   of the mapper radii.
-- The inside-ball moments then reuse the generic moment jobs of
-  :mod:`repro.mr.em_jobs` with :class:`~repro.mr.em_jobs.InsideBallWeights`.
+- The inside-ball moments then reuse the moment job of
+  :mod:`repro.mr.em_jobs` with :class:`~repro.mr.em_jobs.InsideBallWeights`,
+  centred at the ball centres.
 """
 
 from __future__ import annotations
@@ -21,107 +26,47 @@ from typing import Any
 import numpy as np
 
 from repro.core.em import GaussianMixture
-from repro.core.outliers import (
-    ball_consistency_factor,
-    dimensionwise_median,
-    small_sample_inflation,
-)
-from repro.core.stats import chi2_critical_value, mahalanobis_squared
-from repro.mapreduce import Context, DistributedCache, Job, Mapper, Reducer
+from repro.core.outliers import ball_consistency_factor, dimensionwise_median
+from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
-from repro.mr.em_jobs import InsideBallWeights, run_moment_jobs
-
-
-class ODMapper(Mapper):
-    """Map-only membership labelling: cluster id or -1 per point."""
-
-    def setup(self, context: Context) -> None:
-        self._mixture: GaussianMixture = context.cache["mixture"]
-        self._means: np.ndarray = context.cache["od_means"]
-        self._covs: np.ndarray = context.cache["od_covariances"]
-        self._critical: np.ndarray = context.cache["critical_values"]
-        self._rows: list[np.ndarray] = []
-        self._keys: list[Any] = []
-
-    def map(self, key: Any, value: np.ndarray, context: Context) -> None:
-        self._keys.append(key)
-        self._rows.append(value)
-
-    def cleanup(self, context: Context) -> None:
-        if not self._rows:
-            return
-        data = np.stack(self._rows)
-        sub = self._mixture.project(data)
-        assignment = self._mixture.assign(sub)
-        membership = assignment.copy()
-        for j in range(self._mixture.num_components):
-            members = assignment == j
-            if not members.any():
-                continue
-            d2 = mahalanobis_squared(sub[members], self._means[j], self._covs[j])
-            rows = np.where(members)[0]
-            membership[rows[d2 > self._critical[j]]] = -1
-        for key, label in zip(self._keys, membership):
-            context.emit(key, int(label))
+from repro.mr.coreset import run_assign_job
+from repro.mr.em_jobs import InsideBallWeights, run_moment_job
 
 
 def run_od_job(
     chain: JobChain,
     splits: list[InputSplit],
-    mixture: GaussianMixture,
-    od_means: np.ndarray,
-    od_covariances: np.ndarray,
-    moment_counts: np.ndarray,
-    alpha: float = 0.001,
+    model: Any,
+    n: int,
     step_name: str = "outlier_detection",
-) -> dict[int, int]:
-    """Run the OD job; returns ``point index -> cluster id or -1``.
+) -> np.ndarray:
+    """Run the OD job; returns the ``(n,)`` int64 membership vector
+    (cluster id, -1 for outliers).
 
-    ``moment_counts`` is the per-cluster number of points that produced
-    ``od_means``/``od_covariances`` (EM totals for the naive variant,
-    inside-ball counts for MVB); the chi-squared cutoff is widened by
-    the small-sample inflation of that count, matching the serial
-    detectors.
+    ``model`` is the fit's :class:`~repro.serving.FittedModel`: its
+    outlier moments and per-cluster counts fix the chi-squared cutoffs
+    (widened by the small-sample inflation of the count that produced
+    the moments — EM totals for the naive variant, inside-ball counts
+    for MVB), exactly as at serving time.  It is the coreset path's
+    assign job under its own step name, so OD keeps its own step in
+    traces, checkpoints and chaos ``job=`` filters.
     """
-    dof = len(mixture.attributes)
-    base = chi2_critical_value(dof, alpha)
-    critical = np.empty(mixture.num_components)
-    for j in range(mixture.num_components):
-        inflation = small_sample_inflation(int(moment_counts[j]), dof)
-        critical[j] = base * inflation if np.isfinite(inflation) else np.inf
-    job = Job(
-        mapper_factory=ODMapper,
-        cache=DistributedCache(
-            {
-                "mixture": mixture,
-                "od_means": od_means,
-                "od_covariances": od_covariances,
-                "critical_values": critical,
-            }
-        ),
-    )
-    result = chain.run(step_name, job, splits, num_reducers=0)
-    return {int(k): int(v) for k, v in result.output}
+    return run_assign_job(chain, splits, model, n, step_name=step_name)
 
 
-_MVB_KEY_PREFIX = "mvb"
-
-
-class MVBStatsMapper(Mapper):
-    """Per-split MVB centre and radius for each cluster (Section 5.5)."""
+class MVBStatsMapper(BufferedBatchMapper):
+    """Per-split MVB centre and radius for each cluster (Section 5.5),
+    emitted as one ``[centre | radius]`` array per cluster with members."""
 
     def setup(self, context: Context) -> None:
+        super().setup(context)
         self._mixture: GaussianMixture = context.cache["mixture"]
-        self._rows: list[np.ndarray] = []
-
-    def map(self, key: Any, value: np.ndarray, context: Context) -> None:
-        self._rows.append(value)
 
     def cleanup(self, context: Context) -> None:
-        if not self._rows:
+        data = self.split_block()
+        if data is None:
             return
-        data = np.stack(self._rows)
         sub = self._mixture.project(data)
         assignment = self._mixture.assign(sub)
         for j in range(self._mixture.num_components):
@@ -129,17 +74,18 @@ class MVBStatsMapper(Mapper):
             if len(members) == 0:
                 continue
             center = dimensionwise_median(members)
-            radius = float(np.median(np.linalg.norm(members - center, axis=1)))
-            context.emit(j, (center, radius))
+            radius = np.median(np.linalg.norm(members - center, axis=1))
+            context.emit(j, np.append(center, radius))
 
 
 class MVBStatsReducer(Reducer):
     """Dimension-wise median of mapper centres; median of radii."""
 
-    def reduce(self, key: int, values: list[Any], context: Context) -> None:
-        centers = np.stack([v[0] for v in values])
-        radii = np.array([v[1] for v in values])
-        context.emit(key, (np.median(centers, axis=0), float(np.median(radii))))
+    def reduce(self, key: int, values: list[np.ndarray], context: Context) -> None:
+        stats = np.stack(values)
+        context.emit(
+            key, (np.median(stats[:, :-1], axis=0), float(np.median(stats[:, -1])))
+        )
 
 
 def run_mvb_jobs(
@@ -149,10 +95,11 @@ def run_mvb_jobs(
     reg: float = 1e-9,
     point_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three MR jobs computing the MVB moments of every cluster.
+    """Two MR jobs computing the MVB moments of every cluster.
 
-    Job 1 estimates ball centre and radius; jobs 2-3 (the generic moment
-    pair) compute mean and covariance over the inside-ball points.
+    Job 1 estimates ball centre and radius; job 2 (the generic moment
+    job, centred at the ball centres) computes mean and covariance over
+    the inside-ball points.
     Returns ``(means, covariances, inside_ball_counts)`` per cluster.
 
     ``point_weights`` (the coreset fast path) weight the inside-ball
@@ -175,7 +122,7 @@ def run_mvb_jobs(
         radii[j] = radius
 
     model = InsideBallWeights(mixture, centers, radii)
-    means, covs, weight_sums, _ = run_moment_jobs(
+    means, covs, weight_sums, _ = run_moment_job(
         chain,
         splits,
         model,

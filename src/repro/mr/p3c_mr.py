@@ -5,12 +5,17 @@ Job plan (one line per MR job):
 1.  histogram building                                 (Section 5.1)
 2.  candidate proving, one job per collected batch     (Section 5.3)
     + candidate-generation jobs when pairs exceed T_gen
-3.  EM initialisation: 2 x (sums + covariance) jobs    (Section 5.4)
-4.  EM iterations: 2 jobs each                         (Section 5.4)
-5.  MVB centre/radius + moments (MVB variant only)     (Section 5.5)
-6.  OD job (map-only membership labelling)             (Section 5.5)
+3.  EM initialisation: 2 fused moment jobs             (Section 5.4)
+4.  EM iterations: 1 fused moment job each             (Section 5.4)
+5.  MVB centre/radius + 1 fused moment job (MVB only)  (Section 5.5)
+6.  OD job: the serving scorer, map-only               (Section 5.5)
 7.  attribute-inspection histogram job (+ AI proving)  (Section 5.6)
 8.  interval-tightening job                            (Section 5.7)
+
+Each moment estimate is one centred pass where the paper runs a sums
+and a covariance job (:mod:`repro.mr.em_jobs`; :func:`paper_plan_jobs`
+gives the paper's count).  OD runs the fitted serving model's
+``assign``, so the fit's outlier verdict is the serving verdict.
 
 Relevant-interval detection stays in the driver (Section 5.2: at most
 ``d * k`` chi-squared statistics — parallelising it buys nothing).
@@ -46,6 +51,24 @@ from repro.mr.outlier_jobs import run_mvb_jobs, run_od_job
 from repro.mr.tightening_job import run_tightening_job
 from repro.mr.weights import canonical_weights
 from repro.obs import NULL_OBS, Observability
+
+
+def _moment_jobs(chain: JobChain) -> int:
+    """Moment-estimate jobs run so far: the ``<prefix>_sums`` steps."""
+    return sum(step.name.endswith("_sums") for step in chain.steps)
+
+
+def paper_plan_jobs(metadata: dict) -> int:
+    """MR job count of the paper's plan for a fit with ``metadata``.
+
+    Section 5.4 computes each moment estimate with two jobs, a sums job
+    and a covariance job about the finished means; this implementation
+    fuses the pair into one centred pass (``moment_jobs`` in the
+    metadata).  The paper's plan therefore runs one more job per
+    moment estimate than were measured.  The cost-model projections
+    (Figure 7, Section 7.5.2) price this plan.
+    """
+    return int(metadata.get("mr_jobs", 1)) + int(metadata.get("moment_jobs", 0))
 
 
 @dataclass(frozen=True)
@@ -289,33 +312,22 @@ class P3CPlusMR:
                 else:
                     od_means, od_covs = mixture.means, mixture.covariances
                     moment_counts = mixture.weights * n
-                membership_map = run_od_job(
-                    chain,
-                    splits,
-                    mixture,
-                    od_means,
-                    od_covs,
-                    moment_counts,
-                    alpha=self.config.outlier_alpha,
+                self._register_fitted(
+                    algorithm="mr",
+                    cores=cores,
+                    mixture=mixture,
+                    od_means=od_means,
+                    od_covariances=od_covs,
+                    od_counts=np.asarray(moment_counts, dtype=float),
+                    num_bins=diagnostics["num_bins"],
+                    n=n,
+                    d=d,
                 )
-                membership = np.full(n, -1, dtype=np.int64)
-                for index, label in membership_map.items():
-                    membership[index] = label
+                membership = run_od_job(chain, splits, self.fitted_model, n)
                 obs.gauge(
                     "outliers.removed", int((membership == -1).sum())
                 )
-
-            self._register_fitted(
-                algorithm="mr",
-                cores=cores,
-                mixture=mixture,
-                od_means=od_means,
-                od_covariances=od_covs,
-                od_counts=np.asarray(moment_counts, dtype=float),
-                num_bins=diagnostics["num_bins"],
-                n=n,
-                d=d,
-            )
+            diagnostics["moment_jobs"] = _moment_jobs(chain)
             return self._finish(
                 splits, n, d, chain, cores, membership, diagnostics
             )
@@ -405,30 +417,21 @@ class P3CPlusMR:
                     # Mixture weights were normalised by the total
                     # weight, so this is already the full-data count.
                     moment_counts = mixture.weights * total_weight
-                membership_small = run_od_job(
-                    chain,
-                    summary_splits,
-                    mixture,
-                    od_means,
-                    od_covs,
-                    moment_counts,
-                    alpha=self.config.outlier_alpha,
+                self._register_fitted(
+                    algorithm="mr",
+                    cores=cores,
+                    mixture=mixture,
+                    od_means=od_means,
+                    od_covariances=od_covs,
+                    od_counts=np.asarray(moment_counts, dtype=float),
+                    num_bins=diagnostics["num_bins"],
+                    n=n,
+                    d=d,
                 )
-                membership = np.full(m, -1, dtype=np.int64)
-                for index, label in membership_small.items():
-                    membership[index] = label
-
-            self._register_fitted(
-                algorithm="mr",
-                cores=cores,
-                mixture=mixture,
-                od_means=od_means,
-                od_covariances=od_covs,
-                od_counts=np.asarray(moment_counts, dtype=float),
-                num_bins=diagnostics["num_bins"],
-                n=n,
-                d=d,
-            )
+                membership = run_od_job(
+                    chain, summary_splits, self.fitted_model, m
+                )
+            diagnostics["moment_jobs"] = _moment_jobs(chain)
 
             # AI + tightening characterise the clusters (their relevant
             # attributes and output signatures) on the summary; the one

@@ -16,8 +16,9 @@ scores)`` aligned with the input rows:
 - **Full model** (mixture present): hard argmax-posterior component
   assignment, then the qdaim-style outlier verdict — squared
   Mahalanobis distance to the assigned component's MVB moments compared
-  against the χ² critical value at ``outlier_alpha`` (with the same
-  small-sample inflation the OD job applies).  ``scores`` is the
+  against the χ² critical value at ``outlier_alpha``, inflated for
+  small per-component sample counts.  A full fit's OD job runs this
+  scorer over its splits, so the fit's verdict is this verdict.  ``scores`` is the
   squared Mahalanobis distance; outliers keep their distance but get
   ``cluster_id == -1``.
 - **Light model** (no mixture): cores *are* clusters.  A point is
@@ -121,6 +122,13 @@ class FittedModel:
                 self.od_counts = np.zeros(len(self.od_means))
             self.od_counts = np.asarray(self.od_counts, dtype=float)
 
+    def __getstate__(self) -> dict:
+        # Scorer caches are derived state: a model shipped to map tasks
+        # pickles (and fingerprints) the same before and after scoring.
+        state = self.__dict__.copy()
+        state["_caches"] = {}
+        return state
+
     # -- derived structure ------------------------------------------------
 
     @property
@@ -170,7 +178,7 @@ class FittedModel:
                 od_inverses[j] = _robust_inverse(
                     np.atleast_2d(self.od_covariances[j])
                 )
-            # Serve-time critical values replicate run_od_job exactly:
+            # The fit's OD job runs this scorer, so these are its cutoffs:
             # χ² at outlier_alpha with |A_rel| degrees of freedom, inflated
             # for small per-component sample counts.
             base = chi2_critical_value(m, self.outlier_alpha)

@@ -19,7 +19,7 @@ import pytest
 from repro.mapreduce.job import Context
 from repro.mr.aggregate import sum_partials
 from repro.mr.attribute_jobs import MatrixSumReducer
-from repro.mr.em_jobs import CovarianceSumsReducer
+from repro.mr.em_jobs import MomentSumsReducer
 from repro.mr.histogram import HistogramSumReducer
 from repro.mr.support import SupportSumReducer
 
@@ -56,7 +56,7 @@ def test_sum_partials_single_value_returns_fresh_array():
 
 @pytest.mark.parametrize(
     "reducer_cls",
-    [HistogramSumReducer, SupportSumReducer, MatrixSumReducer, CovarianceSumsReducer],
+    [HistogramSumReducer, SupportSumReducer, MatrixSumReducer, MomentSumsReducer],
 )
 def test_sum_reducers_are_pure_under_reexecution(reducer_cls):
     """Reducing the same cached values twice yields identical output

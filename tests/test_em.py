@@ -198,3 +198,58 @@ class TestFitEM:
         fitted = fit_em(data, initialize_from_cores(data, cores), max_iter=5)
         assert fitted.num_components == 1
         assert fitted.weights[0] == pytest.approx(1.0)
+
+
+class TestWhitenedKernel:
+    """The log-joint whitens with each component's cached inverse
+    Cholesky factor; it must still be the Gaussian log-density."""
+
+    def _mixture(self, rng):
+        a = rng.normal(size=(3, 3, 3))
+        return GaussianMixture(
+            means=rng.uniform(size=(3, 3)),
+            covariances=a @ a.transpose(0, 2, 1) * 0.01 + np.eye(3) * 1e-3,
+            weights=np.array([0.2, 0.3, 0.5]),
+            attributes=(0, 1, 2),
+        )
+
+    def test_log_joint_matches_scipy_density(self, rng):
+        from scipy.stats import multivariate_normal
+
+        mixture = self._mixture(rng)
+        sub = rng.uniform(size=(200, 3))
+        expected = np.stack(
+            [
+                np.log(mixture.weights[j])
+                + multivariate_normal(
+                    mixture.means[j], mixture.covariances[j]
+                ).logpdf(sub)
+                for j in range(3)
+            ],
+            axis=1,
+        )
+        np.testing.assert_allclose(mixture._log_joint(sub), expected, rtol=1e-10)
+
+    def test_e_step_matches_log_responsibilities(self, rng):
+        mixture = self._mixture(rng)
+        sub = rng.uniform(size=(200, 3))
+        responsibilities, log_density = mixture.e_step(sub)
+        assert np.array_equal(
+            responsibilities, np.exp(mixture.log_responsibilities(sub))
+        )
+        joint = mixture._log_joint(sub)
+        np.testing.assert_allclose(
+            log_density, np.log(np.exp(joint).sum(axis=1)), rtol=1e-12
+        )
+
+    def test_cached_factors_stay_out_of_pickles(self, rng):
+        import pickle
+
+        from repro.mapreduce.cache import DistributedCache
+
+        mixture = self._mixture(rng)
+        before = DistributedCache({"mixture": mixture}).fingerprint()
+        mixture.whitening()
+        clone = pickle.loads(pickle.dumps(mixture))
+        assert clone._factors is None
+        assert DistributedCache({"mixture": mixture}).fingerprint() == before

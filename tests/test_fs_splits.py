@@ -352,3 +352,53 @@ class TestOutOfCoreClustering:
         assert np.array_equal(bounded.labels(), in_memory.labels())
         # Every job-scoped spill directory is cleaned up on job exit.
         assert list(spill_root.iterdir()) == []
+
+
+class TestNonFiniteRows:
+    """File-backed splits reach the chain unvalidated, so the first full
+    scan (the histogram job, or the coreset summary on the coreset
+    path) rejects non-finite rows by name, as in-memory ``fit`` does."""
+
+    def _driver(self, kind: str):
+        from repro.mr import P3CPlusMR
+
+        if kind == "light":
+            return P3CPlusMRLight(mr_config=P3CPlusMRConfig(num_splits=4))
+        coreset_size = 200 if kind == "coreset" else None
+        return P3CPlusMR(
+            mr_config=P3CPlusMRConfig(num_splits=4, coreset_size=coreset_size)
+        )
+
+    @pytest.mark.parametrize("kind", ["full", "light", "coreset"])
+    @pytest.mark.parametrize("row, value", [(7, np.nan), (411, np.inf)])
+    def test_npy_split_with_non_finite_row_is_rejected(
+        self, tmp_path, tiny_dataset, kind, row, value
+    ):
+        from repro.mapreduce import TaskFailedError
+        from repro.mapreduce.fs import make_npy_splits
+
+        data = tiny_dataset.data.copy()
+        data[row, 2] = value
+        path = tmp_path / "bad.npy"
+        np.save(path, data)
+        splits, n, d = make_npy_splits(path, 4, mode="read")
+        with pytest.raises(TaskFailedError) as excinfo:
+            self._driver(kind).fit_splits(splits, n, d)
+        cause = excinfo.value.cause
+        assert isinstance(cause, ValueError)
+        assert f"input row {row} has a non-finite value" in str(cause)
+
+    def test_finite_values_just_outside_unit_range_still_clamp(
+        self, tmp_path, tiny_dataset
+    ):
+        from repro.mapreduce.fs import make_npy_splits
+
+        data = tiny_dataset.data.copy()
+        data[7, :] = 1.0 + 1e-12
+        data[8, :] = -1e-12
+        path = tmp_path / "edge.npy"
+        np.save(path, data)
+        splits, n, d = make_npy_splits(path, 4, mode="read")
+        from_file = self._driver("light").fit_splits(splits, n, d)
+        clipped = self._driver("light").fit(np.clip(data, 0.0, 1.0))
+        assert np.array_equal(from_file.labels(), clipped.labels())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.binning import build_all_histograms
-from repro.core.em import fit_em, initialize_from_cores
+from repro.core.em import GaussianMixture, _moments, fit_em, initialize_from_cores
 from repro.core.proving import count_supports
 from repro.core.types import ClusterCore, Interval, Signature
 from repro.mapreduce import JobChain, MapReduceRuntime
@@ -16,8 +16,9 @@ from repro.mr.candidates import pair_from_index, run_candidate_generation
 from repro.core.apriori import generate_candidates, singleton_signatures
 from repro.mr.em_jobs import (
     CoreSupportWeights,
+    ResponsibilityWeights,
     run_em_mr,
-    run_moment_jobs,
+    run_moment_job,
 )
 from repro.mr.histogram import run_histogram_job
 from repro.mr.support import run_support_job
@@ -114,7 +115,7 @@ class TestMomentJobs:
         )
         splits = split_records(tiny_dataset.data, 4)
         model = CoreSupportWeights([c.signature for c in cores])
-        means, covs, weight_sums, _ = run_moment_jobs(
+        means, covs, weight_sums, _ = run_moment_job(
             chain, splits, model, attrs, "test"
         )
         sub = tiny_dataset.data[:, list(attrs)]
@@ -149,3 +150,65 @@ class TestMomentJobs:
         history = mixture.log_likelihood_history
         for earlier, later in zip(history, history[1:]):
             assert later >= earlier - 1e-6
+
+
+class TestFusedMomentStability:
+    """The fused moment job sums the scatter about a centre the driver
+    ships and re-centres it on the finished mean.  A tight cluster
+    (sigma = 1e-4) near 0.99, far from the unit cube's centre, is where
+    uncentred sums cancel catastrophically; the fused pass must still
+    match the two-pass oracle."""
+
+    ATTRS = (0, 1)
+
+    @pytest.fixture()
+    def data(self) -> np.ndarray:
+        rng = np.random.default_rng(3)
+        tight = 0.99 + 1e-4 * rng.standard_normal((400, 2))
+        broad = rng.uniform(0.1, 0.6, size=(600, 2))
+        return rng.permutation(np.vstack([tight, broad]))
+
+    def _assert_matches_oracle(self, data, weights, means, covs):
+        for j in range(weights.shape[1]):
+            mean, cov = _moments(data, weights[:, j], 0.0)
+            np.testing.assert_allclose(means[j], mean, rtol=1e-9)
+            np.testing.assert_allclose(covs[j], cov, rtol=1e-9)
+
+    def test_support_pass_centred_at_signature_midpoint(self, data, chain):
+        # The midpoint 0.975 sits 150 sigma from the cluster.
+        signature = Signature([Interval(0, 0.95, 1.0), Interval(1, 0.95, 1.0)])
+        means, covs, _, _ = run_moment_job(
+            chain,
+            split_records(data, 4),
+            CoreSupportWeights([signature]),
+            self.ATTRS,
+            "support",
+            reg=0.0,
+        )
+        mask = signature.support_mask(data).astype(float)
+        self._assert_matches_oracle(data, mask[:, None], means, covs)
+        # Uncentred sums on the same data miss by orders of magnitude.
+        total = mask.sum()
+        mean = (mask[:, None] * data).sum(axis=0) / total
+        raw = (mask[:, None] * data).T @ data / total - np.outer(mean, mean)
+        scale = total**2 / (total**2 - (mask**2).sum())
+        _, oracle = _moments(data, mask, 0.0)
+        assert np.abs(scale * raw / oracle - 1.0).max() > 1e-7
+
+    def test_em_iteration_centred_at_previous_means(self, data, chain):
+        mixture = GaussianMixture(
+            means=np.array([[0.9899, 0.9901], [0.35, 0.35]]),
+            covariances=np.stack([np.eye(2) * 1e-8, np.eye(2) * 0.02]),
+            weights=np.array([0.4, 0.6]),
+            attributes=self.ATTRS,
+        )
+        means, covs, _, _ = run_moment_job(
+            chain,
+            split_records(data, 4),
+            ResponsibilityWeights(mixture),
+            self.ATTRS,
+            "em_iter",
+            reg=0.0,
+        )
+        responsibilities, _ = mixture.e_step(data)
+        self._assert_matches_oracle(data, responsibilities, means, covs)

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from repro.core.em import GaussianMixture
 from repro.core.types import ClusterCore, Interval, Signature
 from repro.mapreduce import ClusterService
-from repro.mr import P3CPlusMRConfig, P3CPlusMRLight
+from repro.core.p3c_plus import P3CPlusConfig
+from repro.mr import P3CPlusMR, P3CPlusMRConfig, P3CPlusMRLight
 from repro.obs import parse_openmetrics
 from repro.obs.telemetry import render_openmetrics
 from repro.serving import (
@@ -293,6 +294,35 @@ class TestDriverRegistration:
         assert set(np.where(assigned.outlier_mask)[0]) == set(
             int(i) for i in result.outliers
         )
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize(
+        "outlier_method, coreset_size",
+        [("mvb", None), ("naive", None), ("mvb", 200)],
+        ids=["mvb", "naive", "coreset"],
+    )
+    def test_full_fit_labels_equal_serving_assign(
+        self, tiny_dataset, executor, outlier_method, coreset_size
+    ) -> None:
+        """The full driver's OD job is the serving scorer, so assigning
+        the training data reproduces the fit's label on every row."""
+        driver = P3CPlusMR(
+            P3CPlusConfig(outlier_method=outlier_method),
+            P3CPlusMRConfig(
+                num_splits=4,
+                executor=executor,
+                max_workers=2,
+                coreset_size=coreset_size,
+            ),
+        )
+        result = driver.fit(tiny_dataset.data)
+        model = driver.fitted_model
+        assert result.clusters
+        fit_labels = np.full(len(tiny_dataset.data), -1, dtype=np.int64)
+        for cluster in result.clusters:
+            fit_labels[cluster.members] = model.cores.index(cluster.core)
+        served = model.assign(tiny_dataset.data).cluster_ids
+        assert np.array_equal(served, fit_labels)
 
 
 class TestServeAssign:
