@@ -15,8 +15,10 @@ the same dataflow contracts Hadoop offers:
   which feeds the cluster cost model used for paper-scale runtime
   projection.
 
-The runtime executes either serially (deterministic, default) or on a
-process pool; both produce identical output for well-formed jobs.
+The runtime executes serially (deterministic, default), on a thread
+pool or on a process pool; all three run every job as one map →
+shuffle → reduce barrier and produce identical output for well-formed
+jobs.
 """
 
 from repro.mapreduce.cache import DistributedCache

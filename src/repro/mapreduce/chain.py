@@ -4,7 +4,10 @@ P3C+-MR is a *chain* of MapReduce jobs whose count itself matters (the
 paper attributes P3C+-MR's higher runtime to its larger job count and
 EM iterations, Section 7.5.2).  ``JobChain`` runs jobs against one
 runtime and keeps a per-step ledger so drivers and the cost model can
-report "number of MR jobs" and shuffle volumes faithfully.
+report "number of MR jobs" and shuffle volumes faithfully.  Each step's
+shape is the driver's: it passes the reducer count (0 for map-only
+jobs, 1 for the single-reducer aggregations), and the runtime runs the
+step as one map → shuffle → reduce barrier.
 
 Chains are also the recovery unit: with a
 :class:`~repro.mapreduce.fs.CheckpointStore` attached, every completed
@@ -24,11 +27,6 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.costmodel import (
-    ClusterCostModel,
-    PartitionPlan,
-    plan_partitions,
-)
 from repro.mapreduce.events import EventKind
 from repro.mapreduce.fs import CheckpointStore, chain_fingerprint
 from repro.mapreduce.job import Job
@@ -69,16 +67,6 @@ class JobChain:
         store is *restored* — its persisted output becomes the step
         result, a ``job_skipped`` event is emitted, and no tasks run.
         When false the store is still written, but never read.
-    auto_tune:
-        When true, a step run with ``num_reducers=None`` picks its
-        partition count from a :func:`plan_partitions` plan — the
-        chain's own event history calibrates the cost model and the
-        observed reduce skew/shuffle volume size the choice.  Off by
-        default: tuned partition counts change job shapes (not
-        outputs), so drivers opt in explicitly.
-    cost_model:
-        Base :class:`ClusterCostModel` for auto-tune calibration
-        (defaults to the paper-anchored constants).
     memory_budget_bytes / spill_dir / max_block_rows:
         Out-of-core knobs stamped onto every step's :class:`JobConf`:
         a resident-payload budget that makes over-budget columnar
@@ -93,8 +81,6 @@ class JobChain:
         runtime: MapReduceRuntime | RuntimeContext,
         checkpoint: CheckpointStore | str | Path | None = None,
         resume: bool = False,
-        auto_tune: bool = False,
-        cost_model: ClusterCostModel | None = None,
         run_id: str | None = None,
         memory_budget_bytes: int | None = None,
         spill_dir: str | None = None,
@@ -113,47 +99,21 @@ class JobChain:
             checkpoint = CheckpointStore(checkpoint)
         self.checkpoint = checkpoint
         self.resume = resume
-        self.auto_tune = auto_tune
-        self.cost_model = cost_model
         self.memory_budget_bytes = memory_budget_bytes
         self.spill_dir = spill_dir
         self.max_block_rows = max_block_rows
         self._fingerprint = ""
-
-    def plan(self, input_records: int) -> PartitionPlan:
-        """Tuned split/partition counts for a job over ``input_records``.
-
-        Drivers call this *before* building splits (the split count is
-        part of the plan); :meth:`run` applies the reducer count
-        automatically for steps run with ``num_reducers=None`` under
-        ``auto_tune``.
-        """
-        workers = getattr(self.runtime.default_executor, "max_workers", None)
-        return plan_partitions(
-            self.runtime.events,
-            input_records=input_records,
-            num_workers=workers or self.runtime.max_workers or 1,
-            base=self.cost_model,
-            memory_budget_bytes=self.memory_budget_bytes,
-        )
 
     def run(
         self,
         name: str,
         job: Job,
         splits: Sequence[InputSplit],
-        num_reducers: int | None = 1,
+        num_reducers: int = 1,
         num_splits: int | None = None,
         **extra: Any,
     ) -> JobResult:
-        """Run ``job`` over ``splits`` and log it as step ``name``.
-
-        ``num_reducers=None`` defers the partition count to the chain:
-        the auto-tune plan under ``auto_tune=True``, the default of one
-        reducer otherwise.
-        """
-        if num_reducers is None:
-            num_reducers = self._choose_reducers(name, splits)
+        """Run ``job`` over ``splits`` and log it as step ``name``."""
         conf = JobConf(
             name=name,
             num_splits=num_splits if num_splits is not None else len(splits),
@@ -168,31 +128,6 @@ class JobChain:
         result = self.runtime.run(job, splits, conf)
         self.steps.append(ChainStep(name=name, result=result))
         return result
-
-    def _choose_reducers(
-        self, name: str, splits: Sequence[InputSplit]
-    ) -> int:
-        """Reducer count for a ``num_reducers=None`` step.
-
-        Without ``auto_tune`` the classic default of one reducer.  With
-        it, a resumed chain first consults the checkpointed partition
-        plan: the restored prefix leaves only ``job_skipped`` events
-        behind, so re-planning would calibrate from silence, change the
-        step's ``JobConf`` and invalidate every downstream fingerprint.
-        Fresh choices are persisted (before execution) so the next
-        resume reuses them.
-        """
-        if not self.auto_tune:
-            return 1
-        key = CheckpointStore.job_key(len(self.steps), name)
-        if self.checkpoint is not None and self.resume:
-            stored = self.checkpoint.load_plan(key)
-            if stored is not None:
-                return stored
-        chosen = self.plan(sum(len(split) for split in splits)).num_reducers
-        if self.checkpoint is not None:
-            self.checkpoint.save_plan(key, chosen)
-        return chosen
 
     def _run_checkpointed(
         self,

@@ -15,6 +15,11 @@ dominates for small ones — exactly the trade-off behind the paper's
 multi-level candidate-collection heuristic and the sub-linear runtimes
 observed for small n (more mappers per larger input, constant job
 overhead).
+
+The model only prices job chains; it never shapes a job.  Drivers pass
+each job's split and reducer counts themselves, and
+:func:`calibrate_from_events` fits the per-record constants to a
+measured event stream.
 """
 
 from __future__ import annotations
@@ -71,10 +76,6 @@ class ClusterCostModel:
     shuffle_record_cost_s: float = 4.0e-6
     reduce_record_cost_s: float = 2.0e-6
     split_records: int = 1_000_000
-    #: Sequential disk bandwidth of the spill-to-disk shuffle path
-    #: (one write + one read per spilled byte); used to price a job
-    #: whose shuffle payload exceeds its memory budget.
-    spill_bandwidth_bytes_s: float = 200e6
 
     def job_cost(
         self,
@@ -151,137 +152,6 @@ class ClusterCostModel:
         return self.chain_cost(
             [self.scan_job(n), *small_chain, self.scan_job(n)]
         )
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    """A tuned ``(num_splits, num_reducers)`` choice for one job.
-
-    Produced by :func:`plan_partitions` from the *measured* event
-    history of earlier jobs in the same chain: calibrated per-record
-    costs size the tasks, the observed reduce-side skew ratio widens
-    the partition count, and the observed shuffle volume bounds how
-    many reducers are worth paying for.
-    """
-
-    num_splits: int
-    num_reducers: int
-    #: Max/mean ratio of observed reduce task durations (1.0 = no skew).
-    skew_ratio: float
-    #: The calibrated model the plan was derived from.
-    model: ClusterCostModel
-    #: Shuffle bytes the plan expects to spill to disk per map wave
-    #: (0 = the payload fits the memory budget, or no budget given).
-    spill_bytes: int = 0
-    #: Modelled wall-time cost of that spilling (write + read back).
-    spill_s: float = 0.0
-
-
-def plan_partitions(
-    events: Iterable[Event],
-    input_records: int,
-    num_workers: int = 1,
-    base: ClusterCostModel | None = None,
-    target_task_s: float = 0.05,
-    max_reducers: int | None = None,
-    memory_budget_bytes: int | None = None,
-) -> PartitionPlan:
-    """Pick split and partition counts from a measured event stream.
-
-    The chain's earlier jobs are the evidence: per-record map/reduce
-    costs come from :func:`calibrate_from_events`, the expected shuffle
-    volume of the *next* job is predicted by the latest finished job
-    (chained P3C+ jobs — EM iterations, refinement passes — repeat the
-    same shape), and reduce-duration skew widens the partition count so
-    one hot partition stops dominating the reduce wall time.
-
-    Sizing rule: enough tasks that each costs about ``target_task_s``
-    at the calibrated per-record rates, clamped to ``[1, 4 x workers]``
-    splits and ``[1, max_reducers or workers]`` reducers — below the
-    floor a task is all dispatch overhead, above the cap extra
-    partitions only queue.  With no event history the defaults degrade
-    to one reducer and worker-count splits.
-
-    With a ``memory_budget_bytes`` the plan also trades memory against
-    parallelism: the observed shuffle *bytes* of the latest job predict
-    the next payload, and when one reducer's share would exceed the
-    budget, the reducer count is raised past the worker cap until each
-    partition fits — queueing extra partitions on the pool is cheaper
-    than spilling them through disk.  Whatever projected spill remains
-    (a single task's payload over budget) is priced at the model's
-    ``spill_bandwidth_bytes_s`` (one write + one read per byte) and
-    reported on the plan.
-    """
-    from repro.mapreduce.counters import Counters
-    from repro.mapreduce.events import EventKind
-
-    if input_records < 0:
-        raise ValueError("input_records must be non-negative")
-    events = list(events)
-    model = calibrate_from_events(events, base=base)
-
-    last_shuffle = 0
-    last_shuffle_bytes = 0
-    reduce_durations: list[float] = []
-    for event in events:
-        if event.kind == EventKind.JOB_FINISH and event.counters:
-            last_shuffle = event.counter(
-                Counters.FRAMEWORK, Counters.SHUFFLE_RECORDS
-            )
-            last_shuffle_bytes = event.counter(
-                Counters.FRAMEWORK, Counters.SHUFFLE_BYTES
-            )
-        elif (
-            event.kind == EventKind.TASK_FINISH
-            and event.phase == "reduce"
-            and event.duration_s is not None
-        ):
-            reduce_durations.append(event.duration_s)
-
-    skew_ratio = 1.0
-    if reduce_durations:
-        mean = sum(reduce_durations) / len(reduce_durations)
-        if mean > 0:
-            skew_ratio = max(reduce_durations) / mean
-
-    workers = max(1, num_workers)
-    ideal_splits = ceil(
-        input_records * model.map_record_cost_s / target_task_s
-    )
-    num_splits = max(1, min(max(ideal_splits, workers), 4 * workers))
-
-    ideal_reducers = ceil(
-        last_shuffle * model.reduce_record_cost_s / target_task_s
-    )
-    if skew_ratio > 1.5:
-        # Finer partitions smooth a hot key range across reducers.
-        ideal_reducers *= 2
-    cap = max_reducers if max_reducers is not None else workers
-    num_reducers = max(1, min(ideal_reducers, max(1, cap)))
-
-    spill_bytes = 0
-    spill_s = 0.0
-    if memory_budget_bytes is not None and last_shuffle_bytes > 0:
-        # Memory correctness beats the parallelism cap: raise the
-        # reducer count until one partition's payload fits the budget.
-        min_reducers = ceil(last_shuffle_bytes / memory_budget_bytes)
-        num_reducers = max(num_reducers, min_reducers)
-        # What a single map wave still cannot hold in heap spills
-        # through disk; price it so chain planners can compare a
-        # bigger-budget run against a wider one.
-        per_task = ceil(last_shuffle_bytes / max(1, num_splits))
-        if per_task > memory_budget_bytes:
-            spill_bytes = (per_task - memory_budget_bytes) * num_splits
-            spill_s = 2.0 * spill_bytes / model.spill_bandwidth_bytes_s
-
-    return PartitionPlan(
-        num_splits=num_splits,
-        num_reducers=num_reducers,
-        skew_ratio=skew_ratio,
-        model=model,
-        spill_bytes=spill_bytes,
-        spill_s=spill_s,
-    )
 
 
 def calibrate_from_events(

@@ -53,9 +53,6 @@ class Counters:
     SHUFFLE_BYTES = "shuffle_bytes"
     REDUCE_INPUT_GROUPS = "reduce_input_groups"
     REDUCE_OUTPUT_RECORDS = "reduce_output_records"
-    #: Reduce tasks dispatched before the last map task of their job
-    #: settled (the pipelined scheduler's map/reduce overlap).
-    PIPELINED_REDUCES = "pipelined_reduces"
     #: Compressed bytes written to shuffle spill segments (map tasks
     #: whose columnar payload crossed ``JobConf.memory_budget_bytes``).
     SPILLED_BYTES = "spilled_bytes"

@@ -202,7 +202,6 @@ _COUNTER_LABELS = {
     "shuffle_bytes": "shuffle_b",
     "reduce_input_groups": "reduce_groups",
     "reduce_output_records": "reduce_out",
-    "pipelined_reduces": "pipelined",
     "task_retries": "retries",
 }
 

@@ -165,8 +165,8 @@ class SlotLease:
     dispatch and ``release()`` when the attempt completes, so a
     scheduler (see :mod:`repro.mapreduce.scheduler`) can interleave
     task batches from many concurrent chains on one bounded pool.
-    Implementations must be thread-safe — the pipelined runtime and the
-    timeout/speculation monitor both dispatch from driver threads while
+    Implementations must be thread-safe — a chain's driver thread
+    acquires (batch dispatch, the timeout/speculation monitor) while
     releases arrive on pool callback threads.  No slot is ever held
     while waiting for another (acquire-per-task, release-at-settle), so
     leases cannot deadlock across chains.

@@ -598,31 +598,5 @@ class CheckpointStore:
         }
         self._write_manifest()
 
-    # -- partition plans (auto-tune x resume) ---------------------------
-
-    def load_plan(self, key: str) -> int | None:
-        """The reducer count auto-tune chose for ``key`` on the original
-        run, or ``None`` when no plan was recorded."""
-        entry = self._manifest.get("plans", {}).get(key)
-        if entry is None:
-            return None
-        try:
-            return int(entry["num_reducers"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def save_plan(self, key: str, num_reducers: int) -> None:
-        """Record the partition plan chosen for ``key``.
-
-        Saved *before* the job executes, so a chain killed mid-job still
-        leaves its plan behind — a resumed run must re-use it rather
-        than re-planning from an event log that the restored prefix
-        leaves empty of task timings.
-        """
-        self._manifest.setdefault("plans", {})[key] = {
-            "num_reducers": int(num_reducers)
-        }
-        self._write_manifest()
-
     def __len__(self) -> int:
         return len(self._manifest["jobs"])

@@ -308,17 +308,6 @@ class Job:
     combiner_factory: Callable[[], Combiner] | None = None
     partitioner: Partitioner = field(default_factory=HashPartitioner)
     cache: DistributedCache = field(default_factory=DistributedCache)
-    #: Optional partition-coverage hint for the pipelined scheduler:
-    #: maps a split id to the reduce partitions its map task may emit
-    #: to (``None`` per task = all partitions).  A declared partition
-    #: set lets the runtime launch a reduce task the moment its
-    #: contributing maps have delivered — before unrelated stragglers
-    #: finish.  The runtime *enforces* the declaration: a map attempt
-    #: whose payload carries records in an undeclared bucket fails
-    #: shuffle-integrity validation, so a lying hint cannot silently
-    #: drop data.  Must be picklable (a module-level function, not a
-    #: lambda) to ride the process executor.
-    partition_hint: Callable[[int], Sequence[int] | None] | None = None
 
     def describe(self) -> str:
         mapper = self.mapper_factory().__class__.__name__

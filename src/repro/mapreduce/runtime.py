@@ -11,7 +11,8 @@ The runtime is layered:
   natural) and merges the per-task partition lists between phases;
 - this module composes them: both the map and the reduce phase run
   through the same executor, so reducers parallelise exactly like
-  mappers.
+  mappers, and the reduce phase starts only once every map task has
+  settled (the barrier of a Hadoop job).
 
 Output is deterministic for every backend: results are collected in
 task order and each reduce partition re-sorts its pairs, so completion
@@ -34,10 +35,8 @@ import re
 import shutil
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, Future
-from concurrent.futures import wait as _futures_wait
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.events import Event, EventKind, EventLog
@@ -45,7 +44,6 @@ from repro.mapreduce.executors import (
     CacheHandle,
     Executor,
     TaskFailedError,
-    TaskOutcome,
     TaskRunner,
     TaskTimeoutError,
     resolve_executor,
@@ -434,22 +432,13 @@ def _run_map_task(
     return payload, counters, time.perf_counter() - started
 
 
-def _map_payload_validator(
-    job: Job,
-    conf: JobConf,
-    task_id: int | None = None,
-    allowed_partitions: "set[int] | None" = None,
-):
+def _map_payload_validator(job: Job, conf: JobConf):
     """Shuffle-integrity check for one job's map payloads.
 
     Compares the records present in a map task's payload against the
     record counts the task itself accumulated; a mismatch means the
     payload was corrupted or truncated after emission and fails the
-    attempt (see :class:`ShuffleIntegrityError`).  When the job carries
-    a partition hint, ``allowed_partitions`` additionally pins the
-    buckets task ``task_id`` may populate: records in an undeclared
-    bucket would silently miss a pipelined reduce that already ran, so
-    a lying hint fails the task loudly instead.
+    attempt (see :class:`ShuffleIntegrityError`).
     """
     reduce_job = conf.num_reducers > 0 and job.reducer_factory is not None
     has_combiner = job.combiner_factory is not None
@@ -463,16 +452,6 @@ def _map_payload_validator(
                 )
             found = sum(len(bucket) for bucket in payload)
             expected = task_counters.framework_value(Counters.SHUFFLE_RECORDS)
-            if allowed_partitions is not None:
-                for pid, bucket in enumerate(payload):
-                    if pid not in allowed_partitions and len(bucket):
-                        raise ShuffleIntegrityError(
-                            f"map task {task_id} emitted {len(bucket)} "
-                            f"record(s) to partition {pid} outside its "
-                            f"declared partitions "
-                            f"{sorted(allowed_partitions)}; fix the job's "
-                            "partition_hint"
-                        )
         else:
             found = len(payload)
             emitted = task_counters.framework_value(Counters.MAP_OUTPUT_RECORDS)
@@ -582,8 +561,8 @@ class MapReduceRuntime:
     executor:
         Backend selection: ``"serial"``, ``"thread"``, ``"process"``,
         an :class:`~repro.mapreduce.executors.Executor` instance, or
-        ``None`` for the auto rule.  A job may override the runtime
-        default via ``JobConf.executor``.
+        ``None`` for the auto rule.  Every job of this runtime runs on
+        it.
     obs:
         Optional :class:`repro.obs.Observability` context.  When given
         (and enabled) its event bridge subscribes to this runtime's
@@ -591,15 +570,18 @@ class MapReduceRuntime:
         task-duration histograms from the lifecycle stream.
     fault_plan:
         Optional :class:`~repro.mapreduce.faults.FaultPlan`.  When set,
-        every executor this runtime resolves (the default and per-job
-        overrides) is wrapped in a
+        the executor is wrapped in a
         :class:`~repro.mapreduce.faults.ChaosExecutor` announcing its
         injections on this runtime's event log.  ``None`` (default) is
         fully inert.
     task_timeout_s / speculative / speculation_factor:
-        Runtime-wide defaults for the task-lifecycle policies of
-        :class:`~repro.mapreduce.executors.TaskRunner`; a job may
-        override the first two via ``JobConf``.
+        The task-lifecycle policies of
+        :class:`~repro.mapreduce.executors.TaskRunner`, applied to every
+        job of this runtime.
+
+    Every job runs one schedule on every executor: the map phase, then
+    the barrier, then the reduce phase — each reduce task waits for
+    every map task, as in the paper's chain of Hadoop jobs.
     """
 
     def __init__(
@@ -629,27 +611,22 @@ class MapReduceRuntime:
             raise ValueError("max_workers must be >= 1")
         self.context = context
         self.run_id = context.run_id if context is not None else None
-        self.max_workers = max_workers
         if context is not None and context.events is not None:
             self.events = context.events
         else:
             self.events = EventLog(run_id=self.run_id)
-        self.fault_plan = fault_plan
         self.task_timeout_s = task_timeout_s
         self.speculative = speculative
         self.speculation_factor = speculation_factor
-        self.default_executor = self._wrap_chaos(
-            resolve_executor(executor, max_workers)
-        )
+        self.default_executor = resolve_executor(executor, max_workers)
+        if fault_plan is not None:
+            self.default_executor = ChaosExecutor(
+                self.default_executor, fault_plan, events=self.events
+            )
         self.history: list[JobResult] = []
         self.obs = obs
         if obs is not None:
             obs.observe_events(self.events)
-
-    def _wrap_chaos(self, executor: Executor) -> Executor:
-        if self.fault_plan is None:
-            return executor
-        return ChaosExecutor(executor, self.fault_plan, events=self.events)
 
     # -- public API ---------------------------------------------------
 
@@ -677,11 +654,7 @@ class MapReduceRuntime:
     ) -> JobResult:
         started = time.perf_counter()
         counters = Counters()
-        executor = (
-            self._wrap_chaos(resolve_executor(conf.executor, self.max_workers))
-            if conf.executor is not None
-            else self.default_executor
-        )
+        executor = self.default_executor
         job = _resolve_broadcast(job, executor)
         runner = TaskRunner(
             executor,
@@ -689,65 +662,45 @@ class MapReduceRuntime:
             conf.name,
             conf.max_task_attempts,
             conf.retry_backoff_s,
-            task_timeout_s=(
-                conf.task_timeout_s
-                if conf.task_timeout_s is not None
-                else self.task_timeout_s
-            ),
-            speculative=(
-                conf.speculative
-                if conf.speculative is not None
-                else self.speculative
-            ),
+            task_timeout_s=self.task_timeout_s,
+            speculative=self.speculative,
             speculation_factor=self.speculation_factor,
         )
         first_event = len(self.events)
         self.events.emit(EventKind.JOB_START, conf.name)
 
-        reduce_job = conf.num_reducers > 0 and job.reducer_factory is not None
-        pool = None
-        if reduce_job and len(splits) > 1 and self._pipeline_allowed(
-            executor, conf, runner
-        ):
-            pool = executor.make_pool()
+        map_results = runner.run_phase(
+            "map",
+            _run_map_task,
+            [(job, split, conf) for split in splits],
+            [split.split_id for split in splits],
+            counters,
+            validate=_map_payload_validator(job, conf),
+        )
+        map_outputs = [payload for payload, _ in map_results]
+        map_times = [elapsed for _, elapsed in map_results]
 
-        if pool is not None:
-            output, map_times, reduce_times = self._run_pipelined(
-                runner, pool, job, list(splits), conf, counters
-            )
+        reduce_times: list[float] = []
+        if conf.num_reducers == 0 or job.reducer_factory is None:
+            output = [pair for pairs in map_outputs for pair in pairs]
         else:
-            map_results = runner.run_phase(
-                "map",
-                _run_map_task,
-                [(job, split, conf) for split in splits],
-                [split.split_id for split in splits],
+            # The barrier: every reduce task starts only after every map
+            # task has settled.
+            partitions = Shuffle.gather(map_outputs, conf.num_reducers)
+            reduce_results = runner.run_phase(
+                "reduce",
+                _run_reduce_task,
+                [
+                    (job, pid, partitions[pid], conf)
+                    for pid in range(conf.num_reducers)
+                ],
+                list(range(conf.num_reducers)),
                 counters,
-                validate=_map_payload_validator(job, conf),
             )
-            map_outputs = [payload for payload, _ in map_results]
-            map_times = [elapsed for _, elapsed in map_results]
-
-            reduce_times = []
-            if not reduce_job:
-                output = [pair for pairs in map_outputs for pair in pairs]
-            else:
-                partitions = Shuffle.gather(map_outputs, conf.num_reducers)
-                reduce_results = runner.run_phase(
-                    "reduce",
-                    _run_reduce_task,
-                    [
-                        (job, pid, partitions[pid], conf)
-                        for pid in range(conf.num_reducers)
-                    ],
-                    list(range(conf.num_reducers)),
-                    counters,
-                )
-                output = [
-                    pair
-                    for part_output, _ in reduce_results
-                    for pair in part_output
-                ]
-                reduce_times = [elapsed for _, elapsed in reduce_results]
+            output = [
+                pair for part_output, _ in reduce_results for pair in part_output
+            ]
+            reduce_times = [elapsed for _, elapsed in reduce_results]
 
         wall_time = time.perf_counter() - started
         self.events.emit(
@@ -768,208 +721,6 @@ class MapReduceRuntime:
         )
         self.history.append(result)
         return result
-
-    # -- pipelined two-phase scheduling ---------------------------------
-
-    def _pipeline_allowed(
-        self, executor: Executor, conf: JobConf, runner: TaskRunner
-    ) -> bool:
-        """Whether this job may run map and reduce on one shared pool.
-
-        Pipelining is on by default for pool-backed executors
-        (``JobConf.pipelined`` overrides per job); the serial executor
-        has no pool, and the chaos / task-timeout / speculation
-        machinery keeps the classic full-barrier semantics — those
-        policies reason about one phase at a time.
-        """
-        pipelined = conf.pipelined if conf.pipelined is not None else True
-        return (
-            pipelined
-            and not isinstance(executor, ChaosExecutor)
-            and runner.task_timeout_s is None
-            and not runner.speculative
-        )
-
-    def _run_pipelined(
-        self,
-        runner: TaskRunner,
-        pool: Any,
-        job: Job,
-        splits: list[InputSplit],
-        conf: JobConf,
-        counters: Counters,
-    ) -> tuple[list[tuple[Any, Any]], list[float], list[float]]:
-        """Partition-ready reduce scheduling on one shared pool.
-
-        Map and reduce tasks share the executor's pool: the reduce task
-        for partition ``p`` is dispatched the moment every map task
-        that can contribute to ``p`` has delivered its bucket — by
-        default that is all of them (delivery happens at map-task
-        settlement, so the barrier collapses to "last contributor
-        settled"), but a job carrying a
-        :attr:`~repro.mapreduce.job.Job.partition_hint` unlocks ``p``
-        as soon as its *declared* contributors are done, overlapping
-        the map tail with reduce work.  Output stays byte-identical to
-        the barrier path: bucket chunks merge in map-task order and
-        reduce outputs concatenate in partition order, so completion
-        order cannot leak into the result.
-        """
-        num_parts = conf.num_reducers
-        task_ids = [split.split_id for split in splits]
-        map_calls = {
-            split.split_id: (job, split, conf) for split in splits
-        }
-        hint = job.partition_hint
-        declared: dict[int, set[int] | None] = {}
-        for tid in task_ids:
-            parts = None if hint is None else hint(tid)
-            declared[tid] = (
-                None if parts is None else {int(p) for p in parts}
-            )
-        contributors = {
-            pid: [
-                tid
-                for tid in task_ids
-                if declared[tid] is None or pid in declared[tid]
-            ]
-            for pid in range(num_parts)
-        }
-        validators = {
-            tid: _map_payload_validator(
-                job, conf, task_id=tid, allowed_partitions=declared[tid]
-            )
-            for tid in task_ids
-        }
-
-        map_payloads: dict[int, Any] = {}
-        map_times: dict[int, float] = {}
-        reduce_calls: dict[int, tuple] = {}
-        reduce_outputs: dict[int, list[tuple[Any, Any]]] = {}
-        reduce_times: dict[int, float] = {}
-        pending: dict[Future, tuple[str, int]] = {}
-        dispatched: set[int] = set()
-        map_phase_done = False
-        reduce_phase_started: float | None = None
-        map_started = time.perf_counter()
-
-        def dispatch_ready_reduces() -> None:
-            nonlocal reduce_phase_started
-            for pid in range(num_parts):
-                if pid in dispatched:
-                    continue
-                if any(t not in map_payloads for t in contributors[pid]):
-                    continue
-                chunks = [
-                    map_payloads[t][pid]
-                    for t in contributors[pid]
-                    if len(map_payloads[t][pid])
-                ]
-                partition = Shuffle.merge_buckets(chunks)
-                if reduce_phase_started is None:
-                    reduce_phase_started = time.perf_counter()
-                    self.events.emit(
-                        EventKind.PHASE_START, conf.name, phase="reduce"
-                    )
-                if not map_phase_done:
-                    counters.increment(
-                        Counters.FRAMEWORK, Counters.PIPELINED_REDUCES
-                    )
-                dispatched.add(pid)
-                reduce_calls[pid] = (job, pid, partition, conf)
-                self.events.emit(
-                    EventKind.TASK_START,
-                    conf.name,
-                    phase="reduce",
-                    task_id=pid,
-                    attempt=1,
-                )
-                pending[pool.submit(_run_reduce_task, *reduce_calls[pid])] = (
-                    "reduce",
-                    pid,
-                )
-
-        self.events.emit(EventKind.PHASE_START, conf.name, phase="map")
-        try:
-            for tid in task_ids:
-                self.events.emit(
-                    EventKind.TASK_START,
-                    conf.name,
-                    phase="map",
-                    task_id=tid,
-                    attempt=1,
-                )
-                pending[pool.submit(_run_map_task, *map_calls[tid])] = (
-                    "map",
-                    tid,
-                )
-            while len(reduce_outputs) < num_parts:
-                done, _ = _futures_wait(
-                    list(pending), return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    phase, tid = pending.pop(future)
-                    error = future.exception()
-                    outcome = (
-                        TaskOutcome(error=error)
-                        if error is not None
-                        else TaskOutcome(value=future.result())
-                    )
-                    if phase == "map":
-                        # Settlement (validation, retries, events) is
-                        # the runner's one shared path; retries re-run
-                        # in-process, exactly like the barrier path.
-                        payload, elapsed = runner._settle(
-                            "map",
-                            tid,
-                            _run_map_task,
-                            map_calls[tid],
-                            outcome,
-                            counters,
-                            validate=validators[tid],
-                        )
-                        map_payloads[tid] = payload
-                        map_times[tid] = elapsed
-                        if len(map_payloads) == len(task_ids):
-                            map_phase_done = True
-                            self.events.emit(
-                                EventKind.PHASE_FINISH,
-                                conf.name,
-                                phase="map",
-                                duration_s=time.perf_counter() - map_started,
-                                counters=counters.snapshot(),
-                            )
-                        dispatch_ready_reduces()
-                    else:
-                        output, elapsed = runner._settle(
-                            "reduce",
-                            tid,
-                            _run_reduce_task,
-                            reduce_calls[tid],
-                            outcome,
-                            counters,
-                        )
-                        reduce_outputs[tid] = output
-                        reduce_times[tid] = elapsed
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self.events.emit(
-            EventKind.PHASE_FINISH,
-            conf.name,
-            phase="reduce",
-            duration_s=time.perf_counter()
-            - (reduce_phase_started or map_started),
-            counters=counters.snapshot(),
-        )
-        output = [
-            pair
-            for pid in range(num_parts)
-            for pair in reduce_outputs[pid]
-        ]
-        return (
-            output,
-            [map_times[tid] for tid in task_ids],
-            [reduce_times[pid] for pid in range(num_parts)],
-        )
 
     # -- accounting -----------------------------------------------------
 

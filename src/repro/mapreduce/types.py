@@ -300,7 +300,9 @@ class JobConf:
     Mirrors the knobs the paper's driver uses: the number of mapper
     slots (splits), the number of reducers (0 = map-only job, 1 = the
     single-reducer aggregation pattern most P3C+-MR jobs use), and the
-    job name used in counter reports.
+    job name used in counter reports.  Where a job runs and its
+    timeout/speculation policies are the runtime's, not the job's (see
+    :class:`~repro.mapreduce.runtime.MapReduceRuntime`).
     """
 
     name: str = "job"
@@ -311,23 +313,9 @@ class JobConf:
     max_task_attempts: int = 2
     #: Base delay before a retry; doubles per attempt (0 = immediate).
     retry_backoff_s: float = 0.0
-    #: Per-attempt wall-clock budget (Hadoop's ``mapreduce.task.timeout``);
-    #: an attempt exceeding it fails and retries.  ``None`` defers to the
-    #: runtime default (itself ``None`` = no limit).
-    task_timeout_s: float | None = None
-    #: Speculatively re-execute straggler tasks (first result wins);
-    #: ``None`` defers to the runtime default.
-    speculative: bool | None = None
-    #: Per-job executor override (``"serial"``/``"thread"``/``"process"``);
-    #: ``None`` defers to the runtime's configured default.
-    executor: str | None = None
     #: Pack uniform shuffle buckets into :class:`ColumnarBucket`; the
     #: tuple path remains the fallback (and the parity oracle in tests).
     columnar_shuffle: bool = True
-    #: Launch reduce tasks as map-side buckets become ready instead of
-    #: waiting on the full map barrier.  ``None`` defers to the runtime
-    #: default (enabled on pooled executors, no-op on serial).
-    pipelined: bool | None = None
     #: Cap on rows per ``BatchMapper.map_batch`` delivery.  ``None``
     #: delivers each split as one block; with a cap the runtime streams
     #: the split in chunks (see :func:`iter_split_blocks`) so a map
@@ -354,8 +342,6 @@ class JobConf:
             raise ValueError("max_task_attempts must be >= 1")
         if self.retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be > 0")
         if self.max_block_rows is not None and self.max_block_rows < 1:
             raise ValueError("max_block_rows must be >= 1")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:

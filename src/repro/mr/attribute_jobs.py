@@ -5,13 +5,11 @@ cluster's members); when AI proving is enabled a second job counts the
 support of the augmented signatures "exactly as in the cluster core
 generation step".
 
-Cluster membership is abstracted behind a :class:`MembershipModel`:
-
-- :class:`ArrayMembership` — the membership attribute produced by the
-  OD job (full P3C+-MR pipeline);
-- :class:`ExclusiveSupportMembership` — the Light variant's ``m'``
-  mapping (Section 6): a point contributes only when it supports
-  exactly one cluster core.
+Cluster membership ships in the distributed cache as the ``(n,)`` int64
+membership array — one cluster id per row, -1 for outliers and
+excluded points.  The full pipeline passes the OD job's membership
+attribute; the Light variant passes its ``m'`` mapping (Section 6).
+Mappers index the array with their split's row keys.
 """
 
 from __future__ import annotations
@@ -21,73 +19,15 @@ from typing import Any
 import numpy as np
 
 from repro.core.binning import Histogram, bin_index
-from repro.core.types import Interval, Signature
-from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
+from repro.core.types import Interval
+from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.job import ArraySumCombiner
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 from repro.mr.aggregate import sum_partials
 
 
-class MembershipModel:
-    """Maps a block of (keys, rows) to per-point cluster labels
-    (-1 = outlier / excluded)."""
-
-    def labels(self, keys: np.ndarray, data: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ArrayMembership(MembershipModel):
-    """Membership attribute written by the OD job, keyed by row index."""
-
-    def __init__(self, membership: np.ndarray) -> None:
-        self.membership = np.asarray(membership, dtype=np.int64)
-
-    def labels(self, keys: np.ndarray, data: np.ndarray) -> np.ndarray:
-        return self.membership[keys]
-
-
-class ExclusiveSupportMembership(MembershipModel):
-    """Section 6's ``m'`` mapping: label = the single covering core, or
-    -1 when the point supports zero or more than one core."""
-
-    def __init__(self, signatures: list[Signature]) -> None:
-        self.signatures = signatures
-
-    def labels(self, keys: np.ndarray, data: np.ndarray) -> np.ndarray:
-        masks = np.stack(
-            [sig.support_mask(data) for sig in self.signatures], axis=1
-        )
-        counts = masks.sum(axis=1)
-        labels = np.where(counts == 1, np.argmax(masks, axis=1), -1)
-        return labels.astype(np.int64)
-
-
-class _BufferedMapper(BatchMapper):
-    """Shared buffering base: caches the split, exposes labels in cleanup."""
-
-    def setup(self, context: Context) -> None:
-        self._model: MembershipModel = context.cache["membership"]
-        self._keys: list[Any] = []
-        self._blocks: list[np.ndarray] = []
-
-    def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
-        self._keys.extend(keys)
-        self._blocks.append(block)
-
-    def _block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        if not self._blocks:
-            return None
-        keys = np.asarray(self._keys, dtype=np.int64)
-        data = (
-            self._blocks[0]
-            if len(self._blocks) == 1
-            else np.concatenate(self._blocks)
-        )
-        return keys, data, self._model.labels(keys, data)
-
-
-class ClusterHistogramMapper(_BufferedMapper):
+class ClusterHistogramMapper(BufferedBatchMapper):
     """Per-cluster (d x m_c) histogram partials.
 
     Bin counts vary per cluster (Freedman-Diaconis on the cluster's
@@ -99,10 +39,10 @@ class ClusterHistogramMapper(_BufferedMapper):
         self._bins_by_cluster: dict[int, int] = context.cache["num_bins_by_cluster"]
 
     def cleanup(self, context: Context) -> None:
-        block = self._block()
-        if block is None:
+        data = self.split_block()
+        if data is None:
             return
-        _, data, labels = block
+        labels = context.cache["membership"][self.split_keys()]
         d = data.shape[1]
         for cid in np.unique(labels):
             cid = int(cid)
@@ -125,7 +65,7 @@ class MatrixSumReducer(Reducer):
 def run_cluster_histogram_job(
     chain: JobChain,
     splits: list[InputSplit],
-    membership: MembershipModel,
+    membership: np.ndarray,
     num_bins_by_cluster: dict[int, int],
     step_name: str = "attribute_inspection_histograms",
 ) -> dict[int, list[Histogram]]:
@@ -148,7 +88,7 @@ def run_cluster_histogram_job(
     return histograms
 
 
-class AIProvingMapper(_BufferedMapper):
+class AIProvingMapper(BufferedBatchMapper):
     """Counts, per cluster, its member count and the members inside each
     suggested interval (the AI-proving support job)."""
 
@@ -157,10 +97,10 @@ class AIProvingMapper(_BufferedMapper):
         self._candidates: list[tuple[int, Interval]] = context.cache["candidates"]
 
     def cleanup(self, context: Context) -> None:
-        block = self._block()
-        if block is None:
+        data = self.split_block()
+        if data is None:
             return
-        _, data, labels = block
+        labels = context.cache["membership"][self.split_keys()]
         for cid in np.unique(labels):
             if cid < 0:
                 continue
@@ -181,7 +121,7 @@ class IntSumReducer(Reducer):
 def run_ai_proving_job(
     chain: JobChain,
     splits: list[InputSplit],
-    membership: MembershipModel,
+    membership: np.ndarray,
     candidates: list[tuple[int, Interval]],
     step_name: str = "ai_proving",
 ) -> tuple[dict[int, int], dict[tuple[int, Interval], int]]:

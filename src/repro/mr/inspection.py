@@ -8,24 +8,22 @@ signature supports and therefore one more MR job (Section 5.6).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.binning import freedman_diaconis_bins
 from repro.core.intervals import find_relevant_intervals_for_histogram
 from repro.core.stats import cohens_d_cc, poisson_deviation_significant
 from repro.core.types import Interval
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
-from repro.mr.attribute_jobs import (
-    MembershipModel,
-    run_ai_proving_job,
-    run_cluster_histogram_job,
-)
+from repro.mr.attribute_jobs import run_ai_proving_job, run_cluster_histogram_job
 from repro.obs import NULL_OBS, Observability
 
 
 def mr_attribute_inspection(
     chain: JobChain,
     splits: list[InputSplit],
-    membership: MembershipModel,
+    membership: np.ndarray,
     known_attributes: dict[int, frozenset[int]],
     sizes: dict[int, int],
     chi2_alpha: float = 0.001,
@@ -39,7 +37,8 @@ def mr_attribute_inspection(
 
     Mirrors :func:`repro.core.attribute_inspection.inspect_attributes`
     for every cluster at once: one histogram job, driver-side interval
-    detection, one optional AI-proving job.  ``obs`` records the AI
+    detection, one optional AI-proving job.  ``membership`` is the
+    ``(n,)`` int64 cluster id per row (-1 = excluded).  ``obs`` records the AI
     candidate count and the proving accept/reject attribution.
     """
     obs = obs or NULL_OBS

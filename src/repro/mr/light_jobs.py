@@ -11,37 +11,21 @@ data matrix in the driver.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.core.types import Signature
-from repro.mapreduce import BatchMapper, Context, DistributedCache, Job
+from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 
 
-class LightMembershipMapper(BatchMapper):
-    def setup(self, context: Context) -> None:
-        self._signatures: list[Signature] = context.cache["signatures"]
-        self._keys: list[Any] = []
-        self._blocks: list[np.ndarray] = []
-
-    def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
-        self._keys.extend(keys)
-        self._blocks.append(block)
-
+class LightMembershipMapper(BufferedBatchMapper):
     def cleanup(self, context: Context) -> None:
-        if not self._blocks:
+        data = self.split_block()
+        if data is None:
             return
-        data = (
-            self._blocks[0]
-            if len(self._blocks) == 1
-            else np.concatenate(self._blocks)
-        )
-        masks = np.stack(
-            [sig.support_mask(data) for sig in self._signatures], axis=1
-        )
+        signatures: list[Signature] = context.cache["signatures"]
+        masks = np.stack([sig.support_mask(data) for sig in signatures], axis=1)
         cover_count = masks.sum(axis=1)
         exclusive = np.where(cover_count == 1, np.argmax(masks, axis=1), -1)
         # Cores are ordered by interestingness: the first covering core
@@ -52,10 +36,13 @@ class LightMembershipMapper(BatchMapper):
         # One pair per split, not per point: the (keys, exclusive,
         # assigned) arrays travel as three int64 vectors and the driver
         # scatters them — n points cost one emit.
-        keys_arr = np.asarray(self._keys, dtype=np.int64)
         context.emit(
             int(context.task_id),
-            (keys_arr, exclusive.astype(np.int64), assigned.astype(np.int64)),
+            (
+                self.split_keys(),
+                exclusive.astype(np.int64),
+                assigned.astype(np.int64),
+            ),
         )
 
 

@@ -40,7 +40,6 @@ from repro.mapreduce import (
     new_run_id,
 )
 from repro.mapreduce.types import InputSplit, split_records
-from repro.mr.attribute_jobs import ArrayMembership
 from repro.mr.candidates import DEFAULT_T_GEN
 from repro.mr.core_generation import DEFAULT_T_C, generate_cluster_cores_mr
 from repro.mr.coreset import build_coreset, run_assign_job
@@ -505,7 +504,6 @@ class P3CPlusMR:
         """Attribute inspection + tightening + result assembly, shared
         between the full and Light drivers."""
         obs = self.obs
-        model = ArrayMembership(membership)
         sizes = {
             j: int((membership == j).sum()) for j in range(len(cores))
         }
@@ -514,7 +512,7 @@ class P3CPlusMR:
             attributes = mr_attribute_inspection(
                 chain,
                 splits,
-                model,
+                membership,
                 known,
                 sizes,
                 chi2_alpha=self.config.chi2_alpha,
@@ -532,7 +530,7 @@ class P3CPlusMR:
         }
         with obs.stage("tightening"):
             signatures = run_tightening_job(
-                chain, splits, model, cluster_attributes
+                chain, splits, membership, cluster_attributes
             )
 
         clusters: list[ProjectedCluster] = []

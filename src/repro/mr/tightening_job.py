@@ -12,13 +12,12 @@ from typing import Any
 import numpy as np
 
 from repro.core.types import Interval, Signature
-from repro.mapreduce import Context, DistributedCache, Job, Reducer
+from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
-from repro.mr.attribute_jobs import MembershipModel, _BufferedMapper
 
 
-class TighteningMapper(_BufferedMapper):
+class TighteningMapper(BufferedBatchMapper):
     def setup(self, context: Context) -> None:
         super().setup(context)
         self._attributes: dict[int, tuple[int, ...]] = context.cache[
@@ -26,10 +25,10 @@ class TighteningMapper(_BufferedMapper):
         ]
 
     def cleanup(self, context: Context) -> None:
-        block = self._block()
-        if block is None:
+        data = self.split_block()
+        if data is None:
             return
-        _, data, labels = block
+        labels = context.cache["membership"][self.split_keys()]
         for cid, attributes in self._attributes.items():
             members = data[labels == cid]
             if len(members) == 0:
@@ -48,7 +47,7 @@ class MinMaxReducer(Reducer):
 def run_tightening_job(
     chain: JobChain,
     splits: list[InputSplit],
-    membership: MembershipModel,
+    membership: np.ndarray,
     cluster_attributes: dict[int, tuple[int, ...]],
     step_name: str = "interval_tightening",
 ) -> dict[int, Signature]:

@@ -23,12 +23,11 @@ of the hierarchy from the lifecycle stream:
   ``mr.task_timeouts`` / ``mr.tasks_speculated`` / ``mr.faults_injected``
   counters (fault-tolerance machinery at work).
 
-Phase spans are tracked per phase *name*, because the pipelined
-scheduler overlaps the map and reduce phases of one job; the realised
-overlap is recorded as the ``mr.pipeline_overlap_s`` observation, and
-the job's ``framework.shuffle_bytes`` / ``framework.pipelined_reduces``
-counters are mirrored into the ``mr.shuffle_bytes`` /
-``mr.pipelined_reduces`` metrics at job finish.
+Every job runs its map and reduce phases on either side of one
+barrier, so at most one phase span is open at a time.  The job's
+``framework.shuffle_bytes`` / ``framework.spilled_bytes`` /
+``framework.spill_segments`` counters are mirrored into the matching
+``mr.*`` metrics at job finish.
 
 The bridge registers via ``EventLog.subscribe`` and must be released
 with :meth:`detach` (or the ``finally`` of :meth:`run`) so sinks do not
@@ -58,19 +57,13 @@ class _EventBridge:
         # both clocks are ``perf_counter``, so one offset aligns them.
         self.offset = log.origin - obs.tracer.origin
         self.job_span: Span | None = None
-        # Keyed by phase name: the pipelined scheduler overlaps the map
-        # and reduce phases, so two phase spans can be open at once.
-        self.phase_spans: dict[str, Span] = {}
-        self.map_finish_s: float | None = None
-        self.first_reduce_start_s: float | None = None
+        self.phase_span: Span | None = None
 
     def __call__(self, event: Event) -> None:
         obs, tracer = self.obs, self.obs.tracer
         kind = event.kind
         if kind == EventKind.JOB_START:
             self.job_span = tracer.begin(event.job, "job")
-            self.map_finish_s = None
-            self.first_reduce_start_s = None
         elif kind == EventKind.JOB_FINISH:
             if self.job_span is not None:
                 tracer.end(self.job_span, duration_s=event.duration_s)
@@ -78,42 +71,24 @@ class _EventBridge:
             obs.metrics.count("mr.jobs")
             for counter, metric in (
                 ("shuffle_bytes", "mr.shuffle_bytes"),
-                ("pipelined_reduces", "mr.pipelined_reduces"),
                 ("spilled_bytes", "mr.spilled_bytes"),
                 ("spill_segments", "mr.spill_segments"),
             ):
                 value = event.counter("framework", counter)
                 if value:
                     obs.metrics.count(metric, value)
-            # Map/reduce overlap won by the pipelined scheduler: time
-            # between the first reduce task starting and the last map
-            # task settling (zero under barrier scheduling).
-            if (
-                self.map_finish_s is not None
-                and self.first_reduce_start_s is not None
-                and self.first_reduce_start_s < self.map_finish_s
-            ):
-                obs.metrics.observe(
-                    "mr.pipeline_overlap_s",
-                    self.map_finish_s - self.first_reduce_start_s,
-                )
             obs.resources.sample(event.job, event.time_s + self.offset)
         elif kind == EventKind.PHASE_START:
-            self.phase_spans[event.phase or ""] = tracer.begin(
+            self.phase_span = tracer.begin(
                 f"{event.job}/{event.phase}", "phase", phase=event.phase
             )
         elif kind == EventKind.PHASE_FINISH:
-            span = self.phase_spans.pop(event.phase or "", None)
-            if span is not None:
-                tracer.end(span, duration_s=event.duration_s)
-            if event.phase == "map":
-                self.map_finish_s = event.time_s
+            if self.phase_span is not None:
+                tracer.end(self.phase_span, duration_s=event.duration_s)
+                self.phase_span = None
             obs.resources.sample(
                 f"{event.job}/{event.phase}", event.time_s + self.offset
             )
-        elif kind == EventKind.TASK_START:
-            if event.phase == "reduce" and self.first_reduce_start_s is None:
-                self.first_reduce_start_s = event.time_s
         elif kind == EventKind.TASK_FINISH:
             duration = event.duration_s or 0.0
             tracer.add_complete(
@@ -121,7 +96,7 @@ class _EventBridge:
                 "task",
                 start_s=event.time_s + self.offset - duration,
                 duration_s=duration,
-                parent=self.phase_spans.get(event.phase or ""),
+                parent=self.phase_span,
                 task_id=event.task_id,
                 attempt=event.attempt,
             )
@@ -150,7 +125,7 @@ class _EventBridge:
                 "task",
                 start_s=event.time_s + self.offset,
                 duration_s=0.0,
-                parent=self.phase_spans.get(event.phase or ""),
+                parent=self.phase_span,
                 task_id=event.task_id,
                 attempt=event.attempt,
                 error=event.error,

@@ -211,72 +211,6 @@ class TestResume:
         assert chain.num_restored_jobs == 0
 
 
-# -- auto-tune + resume: the partition plan is part of the checkpoint ---
-
-
-class FanoutMapper(Mapper):
-    def map(self, key, value, context):
-        context.emit(key % 8, value)
-
-
-class SlowSumReducer(Reducer):
-    def reduce(self, key, values, context):
-        import time
-
-        time.sleep(0.002)
-        context.emit(key, sum(values))
-
-
-def _run_tuned_chain(tmpdir, resume=False, fault_spec=None):
-    plan = FaultPlan.parse(fault_spec) if fault_spec else None
-    runtime = MapReduceRuntime(
-        executor="thread", max_workers=4, fault_plan=plan
-    )
-    chain = JobChain(runtime, checkpoint=tmpdir, resume=resume, auto_tune=True)
-    splits = split_records(_records(n=120), 4)
-    for name in ["stage_a", "stage_b", "stage_c"]:
-        result = chain.run(
-            name,
-            Job(mapper_factory=FanoutMapper, reducer_factory=SlowSumReducer),
-            splits,
-            num_reducers=None,
-        )
-        splits = split_records(result.output, 4)
-    return chain, [step.result.conf.num_reducers for step in chain.steps]
-
-
-class TestAutoTuneResume:
-    def test_resumed_chain_reuses_checkpointed_partition_plan(self, tmp_path):
-        # Kill stage_c on the first attempt: stages a and b complete
-        # and persist both their outputs and their partition plans.
-        with pytest.raises(TaskFailedError):
-            _run_tuned_chain(
-                tmp_path, fault_spec="map:error:job=stage_c:always=1"
-            )
-        original = CheckpointStore(tmp_path)
-        planned = {
-            key: entry["num_reducers"]
-            for key, entry in original._manifest.get("plans", {}).items()
-        }
-        assert planned["001_stage_b"] > 1  # non-vacuous: b was tuned up
-
-        # The resume must restore a and b — which requires re-choosing
-        # the *same* reducer counts, or the chained JobConf fingerprint
-        # breaks.  Re-planning would calibrate from the restored run's
-        # empty event history and pick a different count; the stored
-        # plan is authoritative instead.
-        chain, reducers = _run_tuned_chain(tmp_path, resume=True)
-        assert chain.num_restored_jobs == 2
-        assert reducers[0] == planned["000_stage_a"]
-        assert reducers[1] == planned["001_stage_b"]
-
-    def test_resume_and_rerun_pick_identical_plans(self, tmp_path):
-        _, reducers1 = _run_tuned_chain(tmp_path)
-        chain, reducers2 = _run_tuned_chain(tmp_path, resume=True)
-        assert chain.num_restored_jobs == 3
-        assert reducers2 == reducers1
-
-
 # -- driver + run-report integration ------------------------------------
 
 

@@ -6,7 +6,6 @@ per-attempt trace events.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 import numpy as np
@@ -136,15 +135,6 @@ class TestExecutorDispatch:
         assert result.num_map_tasks == 2
         assert result.num_reduce_tasks == 4
 
-    def test_jobconf_overrides_runtime_default(self):
-        runtime = MapReduceRuntime()  # serial default
-        job = Job(mapper_factory=WordCountMapper, reducer_factory=SumReducer)
-        result = runtime.run(
-            job, _text_splits(), JobConf(executor="thread", num_reducers=2)
-        )
-        assert result.executor == "thread"
-        assert runtime.run(job, _text_splits(), JobConf()).executor == "serial"
-
 
 class TestExecutorParity:
     def _run(self, name: str, num_reducers: int):
@@ -256,118 +246,21 @@ class TestEvents:
         assert records[0]["job"] == "wc"
 
     def test_serial_and_thread_emit_same_event_shape(self):
-        def run(name: str, pipelined=None):
+        def run(name: str):
             runtime = MapReduceRuntime(executor=name, max_workers=2)
             job = Job(mapper_factory=WordCountMapper, reducer_factory=SumReducer)
             result = runtime.run(
-                job,
-                _text_splits(),
-                JobConf(name="wc", num_reducers=2, pipelined=pipelined),
+                job, _text_splits(), JobConf(name="wc", num_reducers=2)
             )
             return [
                 (e.kind, e.phase, e.task_id, e.attempt) for e in result.events
             ]
 
-        # Barrier scheduling: the event streams match exactly.
-        assert run("serial") == run("thread", pipelined=False)
-        # Pipelined scheduling settles tasks in completion order, so the
-        # interleaving may differ — but the event multiset must not.
-        assert sorted(run("serial")) == sorted(run("thread"))
-
-
-class _StragglerMapper(Mapper):
-    """Map task 0 sleeps; the others finish fast.  With a partition
-    hint, their reduce partitions become ready while task 0 runs."""
-
-    def map(self, key: Any, value: int, context: Context) -> None:
-        if context.task_id == 0:
-            time.sleep(0.25)
-        context.emit(context.task_id, value)
-
-
-class TestPipelinedReduce:
-    NUM_SPLITS = 4
-
-    def _splits(self):
-        return split_records([(i, i) for i in range(20)], self.NUM_SPLITS)
-
-    def _hint(self, task_id: int) -> list[int]:
-        # Each map task emits only its own task_id as key.
-        from repro.mapreduce import HashPartitioner
-
-        return [HashPartitioner().partition(task_id, self.NUM_SPLITS)]
-
-    def _run(self, pipelined: bool | None, partition_hint=None):
-        runtime = MapReduceRuntime(executor="thread", max_workers=2)
-        job = Job(
-            mapper_factory=_StragglerMapper,
-            reducer_factory=SumReducer,
-            partition_hint=partition_hint,
-        )
-        result = runtime.run(
-            job,
-            self._splits(),
-            JobConf(
-                name="straggle",
-                num_reducers=self.NUM_SPLITS,
-                pipelined=pipelined,
-            ),
-        )
-        return result
-
-    def test_reduce_starts_before_last_map_finishes(self):
-        """The point of pipelining: with partition hints, reduces for
-        delivered partitions launch under the straggling map task."""
-        from repro.mapreduce import Counters
-
-        result = self._run(pipelined=True, partition_hint=self._hint)
-        assert (
-            result.counters.framework_value(Counters.PIPELINED_REDUCES) >= 1
-        )
-        map_finish = next(
-            e.time_s
-            for e in result.events
-            if e.kind == EventKind.PHASE_FINISH and e.phase == "map"
-        )
-        first_reduce_start = min(
-            e.time_s
-            for e in result.events
-            if e.kind == EventKind.TASK_START and e.phase == "reduce"
-        )
-        assert first_reduce_start < map_finish
-
-    def test_pipelined_output_matches_barrier(self):
-        from repro.mapreduce import Counters
-
-        def framework(result):
-            counts = dict(result.counters.snapshot()["framework"])
-            counts.pop(Counters.PIPELINED_REDUCES, None)
-            return counts
-
-        baseline = self._run(pipelined=False)
-        for hint in (None, self._hint):
-            pipelined = self._run(pipelined=True, partition_hint=hint)
-            assert pipelined.output == baseline.output
-            assert framework(pipelined) == framework(baseline)
-
-    def test_without_hints_no_early_dispatch(self):
-        """No partition hint → readiness degrades to the full map
-        barrier; the pipelined counter must stay zero."""
-        from repro.mapreduce import Counters
-
-        result = self._run(pipelined=True, partition_hint=None)
-        assert (
-            result.counters.framework_value(Counters.PIPELINED_REDUCES) == 0
-        )
-
-    def test_lying_partition_hint_fails_loudly(self):
-        """A hint that under-declares partitions must raise, not
-        silently drop or mis-route the undeclared bucket."""
-        from repro.mapreduce import ShuffleIntegrityError, TaskFailedError
-
-        with pytest.raises(TaskFailedError) as info:
-            self._run(pipelined=True, partition_hint=lambda task_id: [])
-        assert isinstance(info.value.cause, ShuffleIntegrityError)
+        # One barrier schedule on every executor: event order is part
+        # of the contract, not just the event multiset.
+        serial = run("serial")
+        assert run("thread") == serial
+        assert run("process") == serial
 
 
 class TestCalibration:

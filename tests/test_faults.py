@@ -305,18 +305,6 @@ class TestTaskTimeouts:
             runtime.run(_job(), _splits(), JobConf(name="j", num_splits=6))
         assert isinstance(info.value.cause, TaskTimeoutError)
 
-    def test_conf_override_beats_runtime_default(self):
-        plan = FaultPlan.parse("map:delay:task=1:ms=80")
-        runtime = MapReduceRuntime(fault_plan=plan, task_timeout_s=0.04)
-        # Per-job override lifts the budget: no timeout fires.
-        result = runtime.run(
-            _job(),
-            _splits(),
-            JobConf(name="j", num_splits=6, task_timeout_s=5.0),
-        )
-        assert result.output == _expected()
-        assert _event_kinds(runtime)[EventKind.TASK_TIMEOUT] == 0
-
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
             MapReduceRuntime(task_timeout_s=0.0).run(

@@ -10,7 +10,6 @@ from repro.core.em import GaussianMixture
 from repro.core.outliers import mvb_estimate
 from repro.mapreduce import JobChain, MapReduceRuntime
 from repro.mapreduce.types import split_records
-from repro.mr.attribute_jobs import ArrayMembership
 from repro.mr.inspection import mr_attribute_inspection
 from repro.mr.outlier_jobs import run_mvb_jobs
 
@@ -42,7 +41,7 @@ class TestInspectionParity:
         mr_attrs = mr_attribute_inspection(
             chain,
             splits,
-            ArrayMembership(membership),
+            membership,
             known_attributes={0: frozenset({0})},
             sizes={0: int(members.sum())},
             prove=True,
@@ -60,7 +59,7 @@ class TestInspectionParity:
         mr_attrs = mr_attribute_inspection(
             chain,
             splits,
-            ArrayMembership(membership),
+            membership,
             known_attributes={0: frozenset()},
             sizes={0: int(members.sum())},
             prove=False,
@@ -75,7 +74,7 @@ class TestInspectionParity:
         mr_attrs = mr_attribute_inspection(
             chain,
             splits,
-            ArrayMembership(membership),
+            membership,
             known_attributes={0: frozenset({2})},
             sizes={0: 0},
         )

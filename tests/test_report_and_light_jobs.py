@@ -70,23 +70,3 @@ class TestLightMembershipJob:
             chain, splits, [empty_sig], len(tiny_dataset.data)
         )
         assert (assignment == -1).sum() > 0
-
-
-class TestExclusiveSupportMembership:
-    def test_matches_light_membership_job(self, tiny_dataset):
-        """The cache-shipped membership model and the map-only job are
-        two routes to the same m' mapping."""
-        from repro.mr.attribute_jobs import ExclusiveSupportMembership
-
-        data = tiny_dataset.data
-        signatures = [c.signature for c in tiny_dataset.hidden_clusters]
-
-        chain = JobChain(MapReduceRuntime())
-        splits = split_records(data, 4)
-        exclusive, _ = run_light_membership_job(
-            chain, splits, signatures, len(data)
-        )
-
-        model = ExclusiveSupportMembership(signatures)
-        keys = np.arange(len(data))
-        assert np.array_equal(model.labels(keys, data), exclusive)
