@@ -1,7 +1,7 @@
 """Hot-path microbenchmarks: the data-plane before/after trajectory.
 
 Measures the per-point inner loops the vectorized data plane replaced —
-scalar RSSC support counting vs the packed-uint64 batch path, per-row
+scalar RSSC support counting vs the transposed bitmap kernel, per-row
 histogram binning vs whole-block binning — plus the cost of shipping a
 task's distributed cache with and without per-worker broadcast, and the
 shuffle plane itself: per-pair tuple buckets vs columnar blocks

@@ -2,16 +2,22 @@
 
 Two p-signatures join to a (p+1)-signature when they share exactly
 ``p - 1`` intervals and their distinguishing intervals lie on different
-attributes.  Candidate generation enumerates all joinable pairs; the
-optional Apriori prune additionally requires every p-subsignature of a
-candidate to be present in the generating set (the multi-level MR
-collection of Section 5.3 deliberately skips this prune, trading extra
-candidates for fewer proving jobs).
+attributes.  The optional Apriori prune additionally requires every
+p-subsignature of a candidate to be present in the generating set (the
+multi-level MR collection of Section 5.3 deliberately skips this prune,
+trading extra candidates for fewer proving jobs).
+
+:func:`generate_candidates` does not scan all ``k (k - 1) / 2`` pairs.
+It files every p-signature under each of its ``p`` subsets of ``p - 1``
+intervals; two distinct signatures are joinable only if they share such
+a bucket, and they share at most one.  Only pairs inside a bucket are
+tried, so the cost follows the number of joins rather than ``k²``.  The
+joins are replayed in pair-index order, which makes the output list,
+order included, that of the all-pairs scan of :func:`join_signatures`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from repro.core.types import Interval, Signature
@@ -43,18 +49,37 @@ def generate_candidates(
     prune: bool = False,
 ) -> list[Signature]:
     """All (p+1)-signatures obtainable by joining pairs from
-    ``signatures``, deduplicated, in deterministic order.
+    ``signatures``, deduplicated, in deterministic order: each candidate
+    sits where its first joining pair ``(i, j)``, ``i < j``, falls in
+    row-major pair order.
 
     With ``prune=True``, a candidate survives only if *all* of its
     p-subsignatures are in the generating set (classic Apriori
     downward-closure prune).
     """
+    buckets: dict[tuple[Interval, ...], list[tuple[int, Interval]]] = {}
+    for i, sig in enumerate(signatures):
+        intervals = sig.intervals
+        for x, odd in enumerate(intervals):
+            # The key's length fixes p: sizes never share a bucket.
+            key = intervals[:x] + intervals[x + 1 :]
+            buckets.setdefault(key, []).append((i, odd))
+    joins: list[tuple[int, int, Interval]] = []
+    for members in buckets.values():
+        for a, (i, odd_i) in enumerate(members):
+            for j, odd_j in members[a + 1 :]:
+                # Equal odd attributes also skip duplicate signatures,
+                # whose odd intervals in a shared bucket are the same.
+                if odd_i.attribute != odd_j.attribute:
+                    joins.append((i, j, odd_j))
+    joins.sort()  # (i, j) is unique per join: pair-index order
+
     seen: set[Signature] = set()
     candidates: list[Signature] = []
     universe = set(signatures)
-    for first, second in combinations(signatures, 2):
-        joined = join_signatures(first, second)
-        if joined is None or joined in seen:
+    for i, _, odd_j in joins:
+        joined = Signature(signatures[i].intervals + (odd_j,))
+        if joined in seen:
             continue
         seen.add(joined)
         if prune and not _all_subsignatures_present(joined, universe):

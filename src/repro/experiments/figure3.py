@@ -29,9 +29,7 @@ def build_example() -> tuple[RSSC, list[Signature]]:
 
 def run() -> dict[str, object]:
     rssc, signatures = build_example()
-    binning = next(
-        b for b in rssc._binnings if b.attribute == 0
-    )
+    binning = next(b for b in rssc.cell_binnings() if b.attribute == 0)
     cells = []
     for index, mask in enumerate(binning.cell_masks):
         bits = format(mask, f"0{len(signatures)}b")[::-1]  # bit j = S_j

@@ -1,7 +1,7 @@
 """The distributed cache: read-only side data shipped to every task.
 
-P3C+-MR relies on the cache heavily: candidate signature sets, RSSC bit
-masks and Gaussian mixture parameters are all distributed to mappers
+P3C+-MR relies on the cache heavily: candidate signature sets, RSSC
+interval tables and Gaussian mixture parameters are all distributed to mappers
 this way rather than through the shuffle (paper, Section 5.3).
 
 Entries are held in sorted key order, so iteration, pickling and the

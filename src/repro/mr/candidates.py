@@ -1,13 +1,16 @@
 """Parallel candidate generation (paper Section 5.3).
 
-Joining each two p-signatures that share ``p - 1`` intervals is
-quadratic in the signature count: ``c = k (k - 1) / 2`` pairs.  Below
-``T_gen`` pairs the join runs serially in the driver; above it, a
-map-only job fans the pair-index range out to ``m = floor(c / T_gen)``
-mappers.  Each mapper receives the signature list via the distributed
-cache and an index range as its input record, decodes each index into a
-pair, and emits the join when it succeeds.  The driver collects the
-output, ignoring duplicates (two pairs can produce the same
+The paper sizes the join by its pair count, ``c = k (k - 1) / 2`` for
+``k`` p-signatures, and so does the serial/parallel switch here: up to
+``2 * T_gen`` pairs the driver joins serially, with
+:func:`repro.core.apriori.generate_candidates`, which buckets the
+signatures by shared ``p - 1`` intervals and so never visits most of
+those pairs.  Above it, a map-only job fans the pair-index range out to
+``m = floor(c / T_gen)`` mappers.  Each mapper receives the signature
+list via the distributed cache and an index range as its input record,
+decodes the range's first index into a pair, steps through the pairs
+that follow, and emits each join that succeeds.  The driver collects
+the output, ignoring duplicates (two pairs can produce the same
 (p+1)-signature).
 """
 
@@ -55,11 +58,15 @@ class CandidateJoinMapper(Mapper):
     def map(self, key: Any, value: tuple[int, int], context: Context) -> None:
         start, stop = value
         k = len(self._signatures)
-        for index in range(start, stop):
-            i, j = pair_from_index(index, k)
+        i, j = pair_from_index(start, k)
+        for _ in range(start, stop):
             joined = join_signatures(self._signatures[i], self._signatures[j])
             if joined is not None:
                 context.emit(joined, None)
+            j += 1
+            if j == k:
+                i += 1
+                j = i + 1
 
 
 def run_candidate_generation(

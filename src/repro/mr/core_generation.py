@@ -142,6 +142,7 @@ def generate_cluster_cores_mr(
 
     generation_base = proven_level
     pending: list[Signature] = []
+    pending_set: set[Signature] = set()
     previous_count = len(level)
     c_sum = 0
 
@@ -150,11 +151,12 @@ def generate_cluster_cores_mr(
         candidates = [
             sig
             for sig in candidates
-            if sig not in all_supports and sig not in set(pending)
+            if sig not in all_supports and sig not in pending_set
         ]
         stats.candidates_per_level.append(len(candidates))
         c_sum += len(candidates)
         pending.extend(candidates)
+        pending_set.update(candidates)
 
         stop_collecting = (
             not multi_level
@@ -172,6 +174,7 @@ def generate_cluster_cores_mr(
             top_size = max((len(sig) for sig in pending), default=0)
             generation_base = [sig for sig in proven_batch if len(sig) == top_size]
             pending = []
+            pending_set = set()
             c_sum = 0
         else:
             # Keep collecting: generate the next level from the

@@ -1,71 +1,65 @@
 """Rapid Signature Support Counter (paper Section 5.3, Figure 3).
 
 Counting the support of |Ŝ| candidate signatures naively costs
-``O(|Ŝ| * p)`` interval checks per data point.  The RSSC replaces that
-with one binary search and one bitwise AND per *relevant attribute*:
+``O(|Ŝ| * p)`` interval checks per data point.  The paper's RSSC gives
+every signature a bit position and, per relevant attribute, partitions
+[0, 1] into cells by the interval bounds; every cell carries a bitmask
+whose bit ``j`` is set iff a point in that cell is **not excluded** from
+signature ``j`` by this attribute (bit stays 1 when the attribute is
+irrelevant to ``j``, as in Figure 3).  Per point, one binary search per
+attribute finds its cells and the AND of their masks is the set of
+signatures containing it.
 
-- every signature gets a bit position;
-- per attribute, the interval bounds partition [0, 1] into cells, and
-  every cell carries a bitmask whose bit ``j`` is set iff a point in
-  that cell is **not excluded** from signature ``j`` by this attribute
-  (bit stays 1 when the attribute is irrelevant to ``j``, as in the
-  paper's Figure 3);
-- the signatures containing a point are the AND of its cells' masks.
+The production kernel runs the same test transposed: its bits index
+points, not signatures.  Per split chunk it packs one bitmap per
+*distinct interval* of the candidate set (bit ``i`` set iff point ``i``
+lies in the closed interval, after the same clip to [0, 1]), ANDs the
+bitmaps of each candidate's intervals and popcounts the result.  Cost
+follows points × candidates / 64 words instead of one unpacked byte per
+point per candidate, and the distinct intervals are few: every
+candidate is built from the same relevant intervals.  The counts are
+identical to the per-point form because both evaluate
+``lower <= value <= upper`` on the same clipped value; a property test
+checks the kernel against the scalar oracle and brute force
+bit-for-bit.
 
-Cells are alternating boundary singletons and open intervals, so that
-closed-interval containment (Definition 1) is reproduced *exactly*:
-a property test checks RSSC against brute-force counting bit-for-bit.
+- :meth:`RSSC.add_points` — integer supports of a block;
+- :meth:`RSSC.add_points_weighted` — weighted supports (coreset path);
+- :meth:`RSSC.membership_matrix` — per-point membership (serving).
 
-Two counting paths share the cell construction:
-
-- the scalar path (:meth:`RSSC.add_point`) walks one point at a time
-  with arbitrary-precision Python ``int`` masks — it is the oracle the
-  property tests compare against;
-- the batch path (:meth:`RSSC.add_points`) processes a whole split at
-  once: per relevant attribute one ``np.searchsorted`` over the column,
-  cell masks stored as packed ``uint64`` bit-planes of shape
-  ``(num_cells, ceil(|Ŝ|/64))``, masks ANDed column-wise across
-  attributes and popcounted into the count vector.  Both paths are
-  bit-for-bit identical (a property test asserts it); the batch path is
-  what the support job's mapper runs on its hot loop.
+Figure 3's cell masks are built only on demand, for the scalar oracle
+(:meth:`RSSC.add_point`, :meth:`RSSC.membership_bits`) with
+arbitrary-precision Python ``int`` masks, and for the figure's harness
+(:meth:`RSSC.cell_binnings`).
 
 Values marginally outside [0, 1] (float drift after normalization) are
-clamped to the boundary cell in both paths, so a ``1.0 + 1e-12`` never
-indexes past the last cell.
+clamped to the boundary in every path, so a ``1.0 + 1e-12`` counts as
+``1.0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.types import Signature
 
 _WORD_BITS = 64
-_WORD_MAX = (1 << _WORD_BITS) - 1
-#: Explicit little-endian words: the popcount path views them as uint8
-#: bytes, and byte order must match bit position regardless of platform.
-_WORD_DTYPE = np.dtype("<u8")
-
-
-def _pack_mask(mask: int, num_words: int) -> np.ndarray:
-    """Split an arbitrary-precision bitmask into little-endian uint64
-    words (bit ``j`` of the mask lands in word ``j // 64``)."""
-    words = np.empty(num_words, dtype=_WORD_DTYPE)
-    for w in range(num_words):
-        words[w] = (mask >> (_WORD_BITS * w)) & _WORD_MAX
-    return words
+#: Elements of one candidate slice (packed words; unpacked floats in
+#: the weighted kernel): bounds the kernel's transient memory whatever
+#: the chunk's row count and the batch's candidate count.
+_SLICE_WORDS = 1 << 18
 
 
 @dataclass(frozen=True)
 class _AttributeBinning:
-    """Cell boundaries and per-cell bitmasks for one attribute."""
+    """Figure 3's cell boundaries and per-cell bitmasks for one attribute."""
 
     attribute: int
     boundaries: np.ndarray  # sorted unique bounds, starts 0.0 ends 1.0
     cell_masks: tuple[int, ...]  # length 2 * len(boundaries) - 1
-    packed_masks: np.ndarray  # (num_cells, num_words) uint64 bit-planes
 
     def cell_of(self, value: float) -> int:
         """Cell index of a value in [0, 1]: singleton cells sit at even
@@ -80,13 +74,6 @@ class _AttributeBinning:
             return 2 * left
         return 2 * left - 1
 
-    def cells_of(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cell_of` over one attribute column."""
-        values = np.clip(values, 0.0, 1.0)
-        left = np.searchsorted(self.boundaries, values, side="left")
-        right = np.searchsorted(self.boundaries, values, side="right")
-        return np.where(left != right, 2 * left, 2 * left - 1)
-
     def mask_of(self, value: float) -> int:
         return self.cell_masks[self.cell_of(value)]
 
@@ -96,12 +83,177 @@ class RSSC:
 
     def __init__(self, signatures: list[Signature]) -> None:
         self.signatures = list(signatures)
-        self._full_mask = (1 << len(self.signatures)) - 1
-        self._num_words = max(1, -(-len(self.signatures) // _WORD_BITS))
-        self._binnings = self._build_binnings()
-        self._full_words = _pack_mask(self._full_mask, self._num_words)
+        # Interval table: the distinct intervals sorted by attribute, so
+        # each attribute's intervals occupy one contiguous id range.
+        intervals = sorted({iv for sig in self.signatures for iv in sig})
+        ids = {iv: k for k, iv in enumerate(intervals)}
+        self._lowers = np.array([iv.lower for iv in intervals]).reshape(-1, 1)
+        self._uppers = np.array([iv.upper for iv in intervals]).reshape(-1, 1)
+        attributes, starts = np.unique(
+            [iv.attribute for iv in intervals], return_index=True
+        )
+        stops = np.append(starts[1:], len(intervals))
+        self._columns = tuple(
+            zip(attributes.tolist(), starts.tolist(), stops.tolist())
+        )
+        # Each candidate's interval ids, grouped by signature size.
+        by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
+        for j, sig in enumerate(self.signatures):
+            positions, rows = by_size.setdefault(len(sig), ([], []))
+            positions.append(j)
+            rows.append([ids[iv] for iv in sig])
+        self._groups = tuple(
+            (np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp))
+            for _, (positions, rows) in sorted(by_size.items())
+        )
+        self._binnings: list[_AttributeBinning] | None = None
 
-    # -- construction ---------------------------------------------------
+    def __getstate__(self) -> dict:
+        # The scalar oracle's cell masks are derived state: an RSSC
+        # shipped in a job's cache pickles the same before and after use.
+        state = self.__dict__.copy()
+        state["_binnings"] = None
+        return state
+
+    # -- queries ---------------------------------------------------------
+
+    @property
+    def num_signatures(self) -> int:
+        return len(self.signatures)
+
+    @property
+    def relevant_attributes(self) -> tuple[int, ...]:
+        return tuple(attribute for attribute, _, _ in self._columns)
+
+    # -- transposed kernel ------------------------------------------------
+
+    def _bitmaps(self, block: np.ndarray) -> np.ndarray:
+        """``(num_intervals, ⌈rows/64⌉)`` uint64 words: bit ``i`` of row
+        ``k`` is set iff point ``i`` of ``block``, clipped to [0, 1],
+        lies in distinct interval ``k``.  Padding bits past the last
+        point are 0, so they never count."""
+        rows = len(block)
+        words = -(-rows // _WORD_BITS)
+        bitmaps = np.zeros((len(self._lowers), 8 * words), dtype=np.uint8)
+        for attribute, start, stop in self._columns:
+            column = np.clip(block[:, attribute], 0.0, 1.0)
+            inside = (column >= self._lowers[start:stop]) & (
+                column <= self._uppers[start:stop]
+            )
+            bitmaps[start:stop, : -(-rows // 8)] = np.packbits(
+                inside, axis=1, bitorder="little"
+            )
+        return bitmaps.view(np.uint64)
+
+    def _supports(
+        self, bitmaps: np.ndarray, step: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(positions, words)`` per slice of at most ``step``
+        same-size candidates: ``words[r]`` is the AND of the bitmaps of
+        candidate ``positions[r]``'s intervals, its support set."""
+        for positions, ids in self._groups:
+            for start in range(0, len(positions), step):
+                rows = ids[start : start + step]
+                words = bitmaps[rows[:, 0]]
+                for column in range(1, rows.shape[1]):
+                    words &= bitmaps[rows[:, column]]
+                yield positions[start : start + step], words
+
+    def membership_matrix(self, block: np.ndarray) -> np.ndarray:
+        """Boolean ``(n, num_signatures)`` membership matrix of a block:
+        entry ``(i, j)`` is True iff signature ``j`` contains point ``i``
+        (the serving scorer's core-interval test)."""
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        n = len(block)
+        matrix = np.zeros((self.num_signatures, n), dtype=bool)
+        if n and self.num_signatures:
+            bitmaps = self._bitmaps(block)
+            step = max(1, _SLICE_WORDS // bitmaps.shape[1])
+            for positions, words in self._supports(bitmaps, step):
+                matrix[positions] = np.unpackbits(
+                    words.view(np.uint8), axis=1, count=n, bitorder="little"
+                )
+        return matrix.T
+
+    def add_points(
+        self,
+        block: np.ndarray,
+        counts: np.ndarray,
+        chunk_rows: int = 65536,
+    ) -> None:
+        """Add the supports of a whole ``(n, d)`` block to ``counts``.
+
+        Per chunk of ``chunk_rows`` points: one bitmap per distinct
+        interval, one AND per candidate interval, one popcount per
+        candidate — bit-for-bit the counts of :meth:`add_point`.
+        """
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        if len(block) == 0 or self.num_signatures == 0:
+            return
+        for start in range(0, len(block), chunk_rows):
+            bitmaps = self._bitmaps(block[start : start + chunk_rows])
+            step = max(1, _SLICE_WORDS // bitmaps.shape[1])
+            for positions, words in self._supports(bitmaps, step):
+                counts[positions] += np.bitwise_count(words).sum(
+                    axis=1, dtype=np.int64
+                )
+
+    def add_points_weighted(
+        self,
+        block: np.ndarray,
+        weights: np.ndarray,
+        counts: np.ndarray,
+        chunk_rows: int = 65536,
+    ) -> None:
+        """Weighted :meth:`add_points`: each point contributes its
+        weight instead of 1 to every signature containing it.
+
+        ``counts`` must be float64.  Per chunk, a candidate's weighted
+        support is the sum of the chunk's weights under its support
+        bitmap, folded in a fixed order, and chunks accumulate in
+        sequence, so a fixed chunking yields a deterministic float
+        fold.  With all-unit weights the result equals
+        :meth:`add_points` numerically but in float dtype — callers
+        wanting bitwise parity with the unweighted path must
+        canonicalise unit weights to the integer kernel.
+        """
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        weights = np.asarray(weights, dtype=float)
+        if len(weights) != len(block):
+            raise ValueError(
+                f"weights ({len(weights)}) must align with block rows "
+                f"({len(block)})"
+            )
+        if len(block) == 0 or self.num_signatures == 0:
+            return
+        for start in range(0, len(block), chunk_rows):
+            chunk = weights[start : start + chunk_rows]
+            bitmaps = self._bitmaps(block[start : start + chunk_rows])
+            # Unpacked, a slice costs one float per point per candidate.
+            step = max(1, _SLICE_WORDS // len(chunk))
+            for positions, words in self._supports(bitmaps, step):
+                bits = np.unpackbits(
+                    words.view(np.uint8),
+                    axis=1,
+                    count=len(chunk),
+                    bitorder="little",
+                )
+                counts[positions] += (bits * chunk).sum(axis=1)
+
+    def count_supports(self, data: np.ndarray) -> dict[Signature, int]:
+        """Supports of all candidate signatures over a data block."""
+        counts = np.zeros(self.num_signatures, dtype=np.int64)
+        self.add_points(np.atleast_2d(data), counts)
+        return {sig: int(c) for sig, c in zip(self.signatures, counts)}
+
+    # -- Figure 3 cell masks: the scalar oracle ----------------------------
+
+    def cell_binnings(self) -> list[_AttributeBinning]:
+        """Figure 3's per-attribute binnings, one per relevant
+        attribute, built on first use."""
+        if self._binnings is None:
+            self._binnings = self._build_binnings()
+        return self._binnings
 
     def _build_binnings(self) -> list[_AttributeBinning]:
         by_attr: dict[int, list[tuple[int, float, float]]] = {}
@@ -137,6 +289,7 @@ class RSSC:
         that range.  Bit ``j`` of a cell mask is 0 iff signature ``j``
         has an interval on this attribute and the cell lies outside it.
         """
+        full_mask = (1 << self.num_signatures) - 1
         num_cells = 2 * len(boundaries) - 1
         participating = 0
         toggle_on = [0] * (num_cells + 1)
@@ -150,35 +303,21 @@ class RSSC:
             toggle_off[last + 1] |= bit
         masks: list[int] = []
         active = 0
-        packed = np.empty((num_cells, self._num_words), dtype=_WORD_DTYPE)
         for cell in range(num_cells):
             active |= toggle_on[cell]
             active &= ~toggle_off[cell]
-            mask = self._full_mask & ~(participating & ~active)
-            masks.append(mask)
-            packed[cell] = _pack_mask(mask, self._num_words)
+            masks.append(full_mask & ~(participating & ~active))
         return _AttributeBinning(
             attribute=attribute,
             boundaries=boundaries,
             cell_masks=tuple(masks),
-            packed_masks=packed,
         )
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def num_signatures(self) -> int:
-        return len(self.signatures)
-
-    @property
-    def relevant_attributes(self) -> tuple[int, ...]:
-        return tuple(b.attribute for b in self._binnings)
 
     def membership_bits(self, point: np.ndarray) -> int:
         """Bitmask of the signatures whose support set contains ``point``
         (the paper's ``Ŝ_in(x)`` as a bit vector)."""
-        bits = self._full_mask
-        for binning in self._binnings:
+        bits = (1 << self.num_signatures) - 1
+        for binning in self.cell_binnings():
             bits &= binning.mask_of(float(point[binning.attribute]))
             if bits == 0:
                 return 0
@@ -191,99 +330,3 @@ class RSSC:
             low = bits & -bits
             counts[low.bit_length() - 1] += 1
             bits ^= low
-
-    def membership_words(self, block: np.ndarray) -> np.ndarray:
-        """Per-point membership bit vectors of a block, packed as
-        ``(n, ceil(|Ŝ|/64))`` uint64 words — the batch form of
-        :meth:`membership_bits`."""
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        words = np.tile(self._full_words, (len(block), 1))
-        for binning in self._binnings:
-            cells = binning.cells_of(block[:, binning.attribute])
-            words &= binning.packed_masks[cells]
-            if not words.any():
-                break
-        return words
-
-    def membership_matrix(self, block: np.ndarray) -> np.ndarray:
-        """Boolean ``(n, num_signatures)`` membership matrix of a block:
-        entry ``(i, j)`` is True iff signature ``j`` contains point ``i``.
-
-        This is :meth:`membership_words` unpacked for callers that need
-        per-signature membership rather than support counts — the serving
-        scorer's core-interval test runs on it.
-        """
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        if self.num_signatures == 0:
-            return np.zeros((len(block), 0), dtype=bool)
-        words = self.membership_words(block)
-        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.num_signatures].astype(bool)
-
-    def add_points(
-        self,
-        block: np.ndarray,
-        counts: np.ndarray,
-        chunk_rows: int = 65536,
-    ) -> None:
-        """Batch :meth:`add_point` over a whole ``(n, d)`` block.
-
-        One ``searchsorted`` per relevant attribute over the whole
-        column, one packed AND per attribute, one popcount into the
-        count vector — bit-for-bit identical to the scalar path.
-        ``chunk_rows`` bounds the transient unpacked-bit matrix to
-        ``chunk_rows * num_signatures`` bytes.
-        """
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        if len(block) == 0 or self.num_signatures == 0:
-            return
-        for start in range(0, len(block), chunk_rows):
-            words = self.membership_words(block[start : start + chunk_rows])
-            # Little-endian uint64 -> uint8 view puts bit j of a point's
-            # mask at unpacked column j, i.e. columns map to signatures.
-            bits = np.unpackbits(
-                words.view(np.uint8), axis=1, bitorder="little"
-            )
-            counts += bits[:, : self.num_signatures].sum(axis=0, dtype=np.int64)
-
-    def add_points_weighted(
-        self,
-        block: np.ndarray,
-        weights: np.ndarray,
-        counts: np.ndarray,
-        chunk_rows: int = 65536,
-    ) -> None:
-        """Weighted :meth:`add_points`: each point contributes its
-        weight instead of 1 to every signature containing it.
-
-        ``counts`` must be float64; per chunk the weighted support is
-        one ``weights @ bits`` product over the unpacked bit-plane,
-        accumulated chunk-sequentially so a fixed chunking yields a
-        deterministic float fold.  With all-unit weights the result
-        equals :meth:`add_points` numerically but in float dtype —
-        callers wanting bitwise parity with the unweighted path must
-        canonicalise unit weights to the integer kernel.
-        """
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        if len(weights) != len(block):
-            raise ValueError(
-                f"weights ({len(weights)}) must align with block rows "
-                f"({len(block)})"
-            )
-        if len(block) == 0 or self.num_signatures == 0:
-            return
-        for start in range(0, len(block), chunk_rows):
-            words = self.membership_words(block[start : start + chunk_rows])
-            bits = np.unpackbits(
-                words.view(np.uint8), axis=1, bitorder="little"
-            )
-            counts += weights[start : start + chunk_rows] @ bits[
-                :, : self.num_signatures
-            ].astype(np.float64)
-
-    def count_supports(self, data: np.ndarray) -> dict[Signature, int]:
-        """Supports of all candidate signatures over a data block."""
-        counts = np.zeros(self.num_signatures, dtype=np.int64)
-        self.add_points(np.atleast_2d(data), counts)
-        return {sig: int(c) for sig, c in zip(self.signatures, counts)}

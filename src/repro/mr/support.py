@@ -1,11 +1,12 @@
 """Candidate-proving support job (paper Section 5.3).
 
-One MR job counts the supports of an arbitrary candidate batch: every
-mapper receives the full candidate set via the distributed cache,
-builds nothing itself (the RSSC bit masks are precomputed by the driver
-"with only two scans of Ŝ_all" and shipped in the cache), accumulates a
-per-split count vector with the RSSC, and emits it once from cleanup.
-The single reducer sums the per-split vectors.
+One MR job counts the supports of an arbitrary candidate batch.  The
+driver builds the RSSC's interval table once (the batch's distinct
+intervals and each candidate's interval ids) and ships it in the
+distributed cache; every mapper packs one bitmap per distinct interval
+over its split's points, accumulates a per-split count vector from the
+ANDs of those bitmaps, and emits it once from cleanup.  The single
+reducer sums the per-split vectors.
 
 With per-point weights (the coreset fast path) the mapper runs the
 weighted RSSC kernel instead — each point contributes its weight to

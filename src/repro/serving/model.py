@@ -23,10 +23,11 @@ scores)`` aligned with the input rows:
   ``cluster_id == -1``.
 - **Light model** (no mixture): cores *are* clusters.  A point is
   assigned to the first covering core in interestingness order exactly
-  as ``light_membership`` does, via the RSSC bit-plane membership
-  kernel; ``scores`` is the covering-core count, and points covered by
-  no core are outliers.  Finite values outside [0, 1] clamp to the
-  boundary cells, matching the batch RSSC contract.
+  as ``light_membership`` does, via the RSSC's per-point interval
+  bitmaps (``RSSC.membership_matrix``); ``scores`` is the covering-core
+  count, and points covered by no core are outliers.  Finite values
+  outside [0, 1] clamp to the boundary, matching the batch RSSC
+  contract.
 - Rows with a non-finite value on any *relevant* attribute are never
   assigned: ``cluster_id == -1``, ``outlier_mask`` True, ``score`` NaN.
   Non-finite values on irrelevant attributes are ignored, as the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,42 @@ from repro.core.types import Interval, Signature
 
 def _iv(attribute: int, lo: float = 0.0, hi: float = 0.5) -> Interval:
     return Interval(attribute, lo, hi)
+
+
+def _all_pairs_oracle(signatures, prune=False):
+    """The all-pairs scan: every pair in ``combinations`` order, each
+    join kept at its first occurrence."""
+    seen = set()
+    candidates = []
+    universe = set(signatures)
+    for first, second in combinations(signatures, 2):
+        joined = join_signatures(first, second)
+        if joined is None or joined in seen:
+            continue
+        seen.add(joined)
+        if prune and any(joined.without(iv) not in universe for iv in joined):
+            continue
+        candidates.append(joined)
+    return candidates
+
+
+#: Two intervals on each of five attributes: random signatures over
+#: this pool often share all but one interval, or differ only by an
+#: interval on the same attribute.
+_POOL = [[_iv(a, lo, lo + 0.3) for lo in (0.1, 0.5)] for a in range(5)]
+
+
+@st.composite
+def _pool_signature_sets(draw):
+    sizes = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=2)))
+    signatures = []
+    for _ in range(draw(st.integers(0, 30))):
+        size = draw(st.sampled_from(sizes))
+        attrs = draw(st.permutations(range(5)))[:size]
+        signatures.append(
+            Signature([_POOL[a][draw(st.integers(0, 1))] for a in attrs])
+        )
+    return signatures
 
 
 class TestJoin:
@@ -88,6 +126,14 @@ class TestCandidateGeneration:
     def test_deterministic_order(self):
         singles = singleton_signatures([_iv(2), _iv(0), _iv(1)])
         assert generate_candidates(singles) == generate_candidates(singles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pool_signature_sets())
+    def test_matches_all_pairs_oracle(self, signatures):
+        for prune in (False, True):
+            assert generate_candidates(
+                signatures, prune=prune
+            ) == _all_pairs_oracle(signatures, prune=prune)
 
     @settings(max_examples=30)
     @given(st.sets(st.integers(0, 8), min_size=2, max_size=6))

@@ -100,6 +100,32 @@ class TestCandidateGeneration:
         assert parallel == serial
         assert chain.num_jobs == 1  # the parallel path actually ran
 
+    def test_parallel_matches_serial_multilevel(self, chain):
+        # 2- and 3-signatures sharing intervals, pairs whose odd
+        # intervals lie on one attribute, and one duplicate.  k = 10
+        # gives 45 pairs; t_gen = 4 cuts them into 11 ranges, most of
+        # which start mid-row of the pair triangle.
+        a0, a0b = Interval(0, 0.0, 0.3), Interval(0, 0.5, 0.8)
+        a1, a1b = Interval(1, 0.0, 0.3), Interval(1, 0.5, 0.8)
+        a2, a3 = Interval(2, 0.1, 0.4), Interval(3, 0.2, 0.6)
+        signatures = [
+            Signature([a0, a1]),
+            Signature([a0, a2]),
+            Signature([a0, a1b]),
+            Signature([a1, a2]),
+            Signature([a0b, a1]),
+            Signature([a0, a1]),
+            Signature([a0, a1, a2]),
+            Signature([a0, a1, a3]),
+            Signature([a0, a2, a3]),
+            Signature([a1b, a2, a3]),
+        ]
+        serial = generate_candidates(signatures, prune=False)
+        assert {len(sig) for sig in serial} == {3, 4}
+        parallel = run_candidate_generation(chain, signatures, t_gen=4)
+        assert parallel == serial
+        assert chain.num_jobs == 1
+
     def test_small_sets_stay_serial(self, chain):
         intervals = [Interval(a, 0.0, 0.3) for a in range(4)]
         singles = singleton_signatures(intervals)

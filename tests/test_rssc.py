@@ -129,31 +129,65 @@ class TestAddPoints:
     oracle and to brute-force closed-interval counting."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_batch_equals_scalar_and_bruteforce(self, seed):
+    @given(
+        st.integers(0, 10_000),
+        st.one_of(st.integers(1, 120), st.sampled_from([1, 63, 64, 65, 129])),
+        st.sampled_from([7, 65, 65536]),
+    )
+    def test_batch_equals_scalar_and_bruteforce(self, seed, n, chunk_rows):
+        # Row counts around the 64-bit word size and small chunks leave
+        # padding bits in a chunk's last word; they must never count.
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 120))
         data = rng.uniform(size=(n, d))
         signatures = _random_signatures(rng, int(rng.integers(1, 12)), d)
         # Plant exact boundary values (the singleton cells at even
-        # indices of every attribute binning).
+        # indices of every attribute binning) and values drifted
+        # outside [0, 1], which clip to its ends.
         for sig in signatures[: min(3, len(signatures))]:
             interval = sig.intervals[0]
             data[0, interval.attribute] = interval.lower
             data[-1, interval.attribute] = interval.upper
+        for row, value in enumerate([1.0 + 1e-12, -1e-12, 1.5, -0.5], start=1):
+            if row < n - 1:
+                data[row, int(rng.integers(d))] = value
         rssc = RSSC(signatures)
 
         scalar = np.zeros(rssc.num_signatures, dtype=np.int64)
         for point in data:
             rssc.add_point(point, scalar)
         batch = np.zeros(rssc.num_signatures, dtype=np.int64)
-        rssc.add_points(data, batch)
+        rssc.add_points(data, batch, chunk_rows=chunk_rows)
 
         np.testing.assert_array_equal(batch, scalar)
-        brute = count_supports(data, signatures)
+        clipped = np.clip(data, 0.0, 1.0)
+        brute = count_supports(clipped, signatures)
         for j, sig in enumerate(signatures):
             assert batch[j] == brute[sig]
+
+        np.testing.assert_array_equal(
+            rssc.membership_matrix(data),
+            np.stack([sig.support_mask(clipped) for sig in signatures], axis=1),
+        )
+
+        # Integer weights: the weighted kernel counts a point w times,
+        # exactly as the integer kernel counts w copies of it.
+        weights = rng.integers(0, 4, size=n)
+        weighted = np.zeros(rssc.num_signatures)
+        rssc.add_points_weighted(data, weights, weighted, chunk_rows=chunk_rows)
+        copies = np.zeros(rssc.num_signatures, dtype=np.int64)
+        rssc.add_points(np.repeat(data, weights, axis=0), copies)
+        np.testing.assert_array_equal(weighted, copies)
+        # Float weights fold in another order than a masked sum: equal
+        # up to float64 rounding.
+        weights = rng.exponential(size=n)
+        weighted = np.zeros(rssc.num_signatures)
+        rssc.add_points_weighted(data, weights, weighted, chunk_rows=chunk_rows)
+        np.testing.assert_allclose(
+            weighted,
+            [weights[sig.support_mask(clipped)].sum() for sig in signatures],
+            rtol=1e-12,
+        )
 
     def test_counts_accumulate_across_calls(self, rng):
         data = rng.uniform(size=(90, 3))
@@ -167,14 +201,22 @@ class TestAddPoints:
         np.testing.assert_array_equal(counts, expected)
 
     def test_chunked_equals_unchunked(self, rng):
-        data = rng.uniform(size=(200, 4))
         signatures = _random_signatures(rng, 70, 4)  # spills into 2nd word
         rssc = RSSC(signatures)
-        whole = np.zeros(len(signatures), dtype=np.int64)
-        rssc.add_points(data, whole)
-        chunked = np.zeros(len(signatures), dtype=np.int64)
-        rssc.add_points(data, chunked, chunk_rows=7)
-        np.testing.assert_array_equal(chunked, whole)
+        # Row counts and chunk sizes around the 64-bit word, whose
+        # padding bits must never count.
+        for n in (1, 63, 64, 65, 129, 200):
+            data = rng.uniform(size=(n, 4))
+            whole = np.zeros(len(signatures), dtype=np.int64)
+            rssc.add_points(data, whole)
+            brute = count_supports(data, signatures)
+            np.testing.assert_array_equal(
+                whole, [brute[sig] for sig in signatures]
+            )
+            for chunk_rows in (7, 65):
+                chunked = np.zeros(len(signatures), dtype=np.int64)
+                rssc.add_points(data, chunked, chunk_rows=chunk_rows)
+                np.testing.assert_array_equal(chunked, whole)
 
     def test_more_than_64_signatures(self, rng):
         # Multi-word masks: signature j must land in word j//64, bit j%64.
@@ -248,6 +290,13 @@ class TestClampRegression:
         # After clamping: {-1e-12, 0.0, -0.5} -> [0, 0.4] and
         # {1 + 1e-12, 1.0, 1.5} -> [0.6, 1.0]; 0.5 supports neither.
         np.testing.assert_array_equal(batch, [3, 3])
+        np.testing.assert_array_equal(
+            rssc.membership_matrix(data),
+            [[0, 1], [1, 0], [0, 1], [1, 0], [0, 0], [0, 1], [1, 0]],
+        )
+        weighted = np.zeros(2)
+        rssc.add_points_weighted(data, np.arange(1.0, 8.0), weighted)
+        np.testing.assert_array_equal(weighted, [2 + 4 + 7, 1 + 3 + 6])
 
     def test_membership_bits_on_drifted_values(self):
         rssc = self._rssc()
