@@ -216,9 +216,10 @@ class BoW:
                 }
             ),
         )
-        result = chain.run(
-            "bow_partition_cluster", job, splits, num_reducers=num_partitions
-        )
+        with runtime:
+            result = chain.run(
+                "bow_partition_cluster", job, splits, num_reducers=num_partitions
+            )
 
         boxes = [
             _Box(signature=sig, attributes=frozenset(attrs), members=members)

@@ -21,6 +21,13 @@ phases.  First attempts of a phase are dispatched through the executor
 as one batch; retries re-run in-process (tasks are pure functions of
 their arguments, so the backend cannot change the output).
 
+A pool-backed executor starts one pool on first use (:meth:`~Executor.pool`)
+and every phase of every job it runs reuses it, so a job chain pays the
+pool start-up once, not once per job.  :meth:`~Executor.close` joins the
+pool at the end of the chain; a pool that broke (a dead worker) or was
+left running an abandoned attempt is retired instead, and the next batch
+starts a fresh one.
+
 Executors also expose two *wrapping hooks* (``wrap_calls`` for a
 phase's first-attempt batch, ``wrap_call`` for individual re-dispatched
 attempts).  The base implementations are the identity, costing nothing;
@@ -32,11 +39,15 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import statistics
+import tempfile
 import threading
 import time
+import weakref
 from concurrent.futures import (
     FIRST_COMPLETED,
+    BrokenExecutor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -224,13 +235,6 @@ class _LeasedPool:
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
 
-    def __enter__(self) -> "_LeasedPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        self.shutdown(wait=True)
-        return False
-
 
 def _run_inline(
     fn: Callable[..., Any],
@@ -303,14 +307,47 @@ class Executor:
         """Rewrite one re-dispatched attempt (retry / speculative copy)."""
         return fn, args
 
-    # -- concurrency hook ----------------------------------------------
+    # -- pool lifetime ---------------------------------------------------
 
-    def make_pool(self):
-        """A ``concurrent.futures`` pool for task-level scheduling, or
-        ``None`` when the backend cannot overlap tasks (serial).  Used
-        by the runner's timeout/speculation path; the caller owns the
-        pool and must shut it down."""
+    def pool(self):
+        """The pool every batch and every timed or speculative attempt
+        submits to, started on first use and kept until :meth:`close`;
+        ``None`` for backends without one."""
         return None
+
+    def retire_pool(self, pool) -> None:
+        """Stop using ``pool`` without waiting for it, if it is still
+        the current pool: it broke, or an abandoned attempt still runs
+        on it.  The next batch starts a fresh pool."""
+
+    def close(self) -> None:
+        """Join the pool and release what the executor holds; it stays
+        usable and starts a new pool on its next batch."""
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> tuple[Future, Any]:
+        """Submit one call to :meth:`pool`; returns its future and the
+        pool running it, for :meth:`outcome`.  A pool found broken (a
+        worker died while it sat idle) is retired and the call goes to
+        a fresh one."""
+        pool = self.pool()
+        try:
+            return pool.submit(fn, *args), pool
+        except BrokenExecutor:
+            self.retire_pool(pool)
+        pool = self.pool()
+        return pool.submit(fn, *args), pool
+
+    def outcome(self, future: Future, pool) -> TaskOutcome:
+        """The outcome of a settled future from :meth:`submit`.  A
+        worker that died mid-batch broke ``pool``: it is retired, and
+        the attempt's retry and the next batch run on a fresh one."""
+        try:
+            return TaskOutcome(value=future.result())
+        except BrokenExecutor as error:
+            self.retire_pool(pool)
+            return TaskOutcome(error=error)
+        except Exception as error:  # noqa: BLE001 - any task error retries
+            return TaskOutcome(error=error)
 
 
 class SerialExecutor(Executor):
@@ -325,20 +362,42 @@ class SerialExecutor(Executor):
 
 
 class _PoolExecutor(Executor):
-    """Shared submit/collect logic for the pool-backed executors."""
+    """Shared submit/collect logic and pool lifetime of the pool-backed
+    executors."""
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers or os.cpu_count() or 1
+        self._pool: Any = None
 
     def _make_pool(self):
         raise NotImplementedError
 
     def make_pool(self):
+        """Start a ``concurrent.futures`` pool.  The only pool
+        constructor; :meth:`pool` calls it once per pool lifetime."""
         pool = self._make_pool()
         lease = self.slot_lease
         return _LeasedPool(pool, lease) if lease is not None else pool
+
+    def pool(self):
+        if self._pool is None:
+            # make_pool (not _make_pool): a set slot_lease gates every
+            # submit through the leased wrapper.
+            self._pool = self.make_pool()
+        return self._pool
+
+    def retire_pool(self, pool) -> None:
+        if pool is None or pool is not self._pool:
+            return
+        self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def run_batch(
         self, fn: Callable[..., Any], calls: Sequence[tuple]
@@ -346,17 +405,8 @@ class _PoolExecutor(Executor):
         if len(calls) <= 1 or self.max_workers == 1:
             # A pool buys nothing for a single task; skip its overhead.
             return _run_inline(fn, calls, self.slot_lease)
-        # make_pool (not _make_pool): a set slot_lease gates every
-        # submit through the leased wrapper.
-        with self.make_pool() as pool:
-            futures: list[Future] = [pool.submit(fn, *args) for args in calls]
-            outcomes: list[TaskOutcome] = []
-            for future in futures:
-                try:
-                    outcomes.append(TaskOutcome(value=future.result()))
-                except Exception as error:  # noqa: BLE001
-                    outcomes.append(TaskOutcome(error=error))
-        return outcomes
+        submitted = [self.submit(fn, *args) for args in calls]
+        return [self.outcome(future, pool) for future, pool in submitted]
 
 
 class ThreadExecutor(_PoolExecutor):
@@ -377,57 +427,89 @@ class ThreadExecutor(_PoolExecutor):
 # 2. ndarray split payloads were serialised inline into the pickle
 #    stream.
 #
-# The broadcast below ships each cache once per worker (pool
-# initializer, keyed by the cache's content fingerprint) while tasks
-# carry only a :class:`CacheHandle`; argument packing uses pickle
-# protocol 5 so ndarray buffers travel out-of-band instead of being
-# copied through the pickle stream.
+# The broadcast below localises each cache once, as Hadoop's
+# DistributedCache does: the executor writes it to a file keyed by its
+# content fingerprint, and each worker loads that file the first time a
+# task asks for it, while tasks carry only a :class:`CacheHandle`.
+# Workers outlive many jobs, so caches cannot ride the pool initializer.
+# Argument packing uses pickle protocol 5 so ndarray buffers travel
+# out-of-band instead of being copied through the pickle stream.
 
 #: Per-process registry of broadcast caches, keyed by content
-#: fingerprint.  Workers are seeded by the pool initializer; the parent
-#: process registers at broadcast time so in-process attempts (the
-#: single-task shortcut, retries) resolve handles too.
+#: fingerprint, oldest first.  The parent registers at broadcast time,
+#: so in-process attempts (the single-task shortcut, retries) and
+#: workers forked afterwards resolve handles without a file read.
 _WORKER_CACHES: dict[str, DistributedCache] = {}
 
 #: Jobs run sequentially and carry one cache each, so a handful of live
-#: broadcasts is ample; the cap only bounds parent-side memory.
+#: broadcasts is ample; the cap bounds every process's registry.
 _MAX_BROADCASTS = 8
 
 
-def _install_broadcasts(payload: dict[str, DistributedCache]) -> None:
-    """Pool-worker initializer: install broadcast caches once per worker."""
-    _WORKER_CACHES.update(payload)
+#: Guards the registry: chains on other threads broadcast concurrently.
+_REGISTRY_LOCK = threading.Lock()
+
+
+def _reset_registry_lock() -> None:
+    # A pool forked while another thread held the lock must not hand
+    # its workers a lock that nobody will release.
+    global _REGISTRY_LOCK
+    _REGISTRY_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_registry_lock)
+
+
+def _register(fingerprint: str, cache: DistributedCache) -> None:
+    """Install ``cache`` as this process's newest broadcast, evicting
+    the oldest past :data:`_MAX_BROADCASTS`."""
+    with _REGISTRY_LOCK:
+        _WORKER_CACHES.pop(fingerprint, None)
+        _WORKER_CACHES[fingerprint] = cache
+        for stale in list(_WORKER_CACHES)[:-_MAX_BROADCASTS]:
+            del _WORKER_CACHES[stale]
 
 
 class CacheHandle(DistributedCache):
-    """A fingerprint-keyed reference to a broadcast distributed cache.
+    """A reference to a broadcast distributed cache: the path of the
+    cache's localised file, named by its content fingerprint.
 
-    Pickles to just the fingerprint, so a task's arguments carry O(1)
-    bytes of cache no matter how large the RSSC tables are; lookups
-    resolve lazily against the registry the worker's pool initializer
-    populated.
+    Pickles to that path, so a task's arguments carry O(1) bytes of
+    cache no matter how large the RSSC tables are.  Lookups resolve
+    against this process's registry; a miss loads the file once and
+    registers it.
     """
 
-    def __init__(self, fingerprint: str) -> None:
-        self.cache_fingerprint = fingerprint
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.cache_fingerprint = os.path.basename(path)
 
     @property
     def _entries(self):  # type: ignore[override]
+        resolved = _WORKER_CACHES.get(self.cache_fingerprint)
+        if resolved is None:
+            resolved = self._localise()
+        return resolved._entries
+
+    def _localise(self) -> DistributedCache:
         try:
-            resolved = _WORKER_CACHES[self.cache_fingerprint]
-        except KeyError:
+            with open(self.path, "rb") as handle:
+                cache = pickle.load(handle)
+        except FileNotFoundError:
             raise RuntimeError(
                 f"broadcast cache {self.cache_fingerprint!r} is not "
-                "installed in this process; tasks carrying a CacheHandle "
-                "must run on the pool of the executor that broadcast it"
+                "installed in this process and has no localised file; "
+                "tasks carrying a CacheHandle must run while the executor "
+                "that broadcast it is open"
             ) from None
-        return resolved._entries
+        _register(self.cache_fingerprint, cache)
+        return cache
 
     def fingerprint(self) -> str:
         return self.cache_fingerprint
 
     def __reduce__(self):
-        return (CacheHandle, (self.cache_fingerprint,))
+        return (CacheHandle, (self.path,))
 
     def __repr__(self) -> str:
         return f"CacheHandle({self.cache_fingerprint!r})"
@@ -463,55 +545,70 @@ class _PackingPool:
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
 
-    def __enter__(self) -> "_PackingPool":
-        return self
 
-    def __exit__(self, *exc_info: Any) -> bool:
-        self.shutdown(wait=True)
-        return False
+def _remove_cache_dir(path: str, owner_pid: int) -> None:
+    # Forked workers hold copies of the executor: only its own process
+    # may remove the directory.
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 class ProcessExecutor(_PoolExecutor):
     """Process-pool backend; tasks and their data must be picklable.
 
-    Job caches registered via :meth:`broadcast` are shipped once per
-    worker through the pool initializer (keyed by content fingerprint)
-    rather than once per task, and task arguments are packed with
-    pickle protocol 5 so ndarray split payloads travel out-of-band.
+    Job caches registered via :meth:`broadcast` are written once to a
+    private directory and loaded once per worker (keyed by content
+    fingerprint) rather than shipped once per task, and task arguments
+    are packed with pickle protocol 5 so ndarray split payloads travel
+    out-of-band.  :meth:`close` removes the directory; an executor that
+    is never closed removes it when it is garbage-collected.
     """
 
     name = "process"
 
     def __init__(self, max_workers: int | None = None) -> None:
         super().__init__(max_workers)
-        self._broadcasts: dict[str, DistributedCache] = {}
+        #: Localised cache file per broadcast fingerprint, oldest first.
+        self._broadcasts: dict[str, str] = {}
+        self._cache_dir: str | None = None
+        self._cache_dir_cleanup: weakref.finalize | None = None
 
     def broadcast(self, cache: DistributedCache) -> CacheHandle:
-        """Register ``cache`` for per-worker shipment.
+        """Localise ``cache`` for the workers.
 
         Returns the :class:`CacheHandle` tasks should carry in its
         place.  Idempotent per content fingerprint: re-broadcasting an
-        equal cache reuses the existing registration.
+        equal cache reuses the existing file.
         """
         fingerprint = cache.fingerprint()
-        self._broadcasts[fingerprint] = cache
-        _WORKER_CACHES[fingerprint] = cache
-        while len(self._broadcasts) > _MAX_BROADCASTS:
-            stale = next(iter(self._broadcasts))
-            del self._broadcasts[stale]
-            _WORKER_CACHES.pop(stale, None)
-        return CacheHandle(fingerprint)
+        path = self._broadcasts.pop(fingerprint, None)
+        if path is None:
+            if self._cache_dir is None:
+                self._cache_dir = tempfile.mkdtemp(prefix="repro-cache-")
+                self._cache_dir_cleanup = weakref.finalize(
+                    self, _remove_cache_dir, self._cache_dir, os.getpid()
+                )
+            path = os.path.join(self._cache_dir, fingerprint)
+            with open(path, "wb") as handle:
+                pickle.dump(cache, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        self._broadcasts[fingerprint] = path
+        _register(fingerprint, cache)
+        for stale in list(self._broadcasts)[:-_MAX_BROADCASTS]:
+            os.unlink(self._broadcasts.pop(stale))
+        return CacheHandle(path)
+
+    def close(self) -> None:
+        super().close()
+        with _REGISTRY_LOCK:
+            for fingerprint in self._broadcasts:
+                _WORKER_CACHES.pop(fingerprint, None)
+        self._broadcasts.clear()
+        if self._cache_dir_cleanup is not None:
+            self._cache_dir_cleanup()
+            self._cache_dir = self._cache_dir_cleanup = None
 
     def _make_pool(self):
-        if self._broadcasts:
-            pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_install_broadcasts,
-                initargs=(dict(self._broadcasts),),
-            )
-        else:
-            pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return _PackingPool(pool)
+        return _PackingPool(ProcessPoolExecutor(max_workers=self.max_workers))
 
 
 EXECUTORS: dict[str, type[Executor]] = {
@@ -624,14 +721,11 @@ class TaskRunner:
         """
         started = time.perf_counter()
         self.events.emit(EventKind.PHASE_START, self.job_name, phase=phase)
-        pool = None
         if len(calls) > 1 and (
             self.task_timeout_s is not None or self.speculative
-        ):
-            pool = self.executor.make_pool()
-        if pool is not None:
+        ) and self.executor.pool() is not None:
             results = self._run_phase_concurrent(
-                pool, phase, fn, calls, task_ids, counters, validate
+                phase, fn, calls, task_ids, counters, validate
             )
         else:
             for task_id in task_ids:
@@ -773,7 +867,6 @@ class TaskRunner:
 
     def _run_phase_concurrent(
         self,
-        pool,
         phase: str,
         fn: Callable[..., Any],
         calls: Sequence[tuple],
@@ -782,12 +875,16 @@ class TaskRunner:
         validate: Callable[[Any, Counters], None] | None,
     ) -> list[tuple[Any, float]]:
         """Task-level scheduling with wall-clock timeouts and
-        first-result-wins speculative duplicates.
+        first-result-wins speculative duplicates, on the executor's
+        shared pool.
 
         Abandoned attempts (timeouts, speculation losers) may keep
         running on their worker — tasks are pure, so their ignored
         results are harmless — but their outcome can never settle a
-        task twice: settlement is guarded per task id.
+        task twice: settlement is guarded per task id.  A phase that
+        leaves one still running retires the pool, so no later job
+        waits behind it; a pool that broke is retired at once and the
+        retries go to a fresh one.
         """
         index = {tid: i for i, tid in enumerate(task_ids)}
         results: dict[int, tuple[Any, float]] = {}
@@ -797,6 +894,8 @@ class TaskRunner:
         durations: list[float] = []
         # future -> (task_id, attempt, is_speculative)
         pending: dict[Future, tuple[int, int, bool]] = {}
+        # future -> the pool it was submitted to
+        origin: dict[Future, Any] = {}
         abandoned: set[Future] = set()
 
         def dispatch(tid: int, attempt: int, speculative: bool) -> None:
@@ -819,13 +918,14 @@ class TaskRunner:
                 task_id=tid,
                 attempt=attempt,
             )
-            future = pool.submit(call_fn, *call_args)
+            future, pool = self.executor.submit(call_fn, *call_args)
             if not speculative:
                 # Timed from submit *completion*: a leased pool may
                 # block in submit waiting for a slot grant, and slot
                 # wait must not count against the task's timeout.
                 dispatched_at[tid] = time.perf_counter()
             pending[future] = (tid, attempt, speculative)
+            origin[future] = pool
 
         def fail_attempt(tid: int, attempt: int, error: Exception) -> None:
             """Retry (counted) or exhaust the task's attempt budget."""
@@ -880,28 +980,20 @@ class TaskRunner:
                 )
                 for future in done:
                     tid, attempt, is_spec = pending.pop(future)
+                    outcome = self.executor.outcome(future, origin.pop(future))
                     stale = tid in results or future in abandoned
                     abandoned.discard(future)
                     if stale:
                         continue  # task already settled / attempt timed out
-                    error = future.exception()
-                    if error is None:
-                        # Wall-clock timeouts are enforced by the
-                        # monitor below; a completed attempt counts.
-                        outcome = self._post_check(
-                            phase,
-                            tid,
-                            TaskOutcome(value=future.result()),
-                            validate,
-                            enforce_timeout=False,
-                        )
-                        error = outcome.error
-                        if error is None:
-                            settle_success(tid, attempt, outcome.value)
-                            continue
-                    if is_spec:
-                        continue  # losing speculative copy: discard
-                    fail_attempt(tid, attempt, error)
+                    # Wall-clock timeouts are enforced by the monitor
+                    # below; a completed attempt counts.
+                    outcome = self._post_check(
+                        phase, tid, outcome, validate, enforce_timeout=False
+                    )
+                    if outcome.error is None:
+                        settle_success(tid, attempt, outcome.value)
+                    elif not is_spec:  # a losing speculative copy is discarded
+                        fail_attempt(tid, attempt, outcome.error)
                 now = time.perf_counter()
                 if self.task_timeout_s is not None:
                     for future, (tid, attempt, is_spec) in list(pending.items()):
@@ -944,5 +1036,7 @@ class TaskRunner:
                         speculated.add(tid)
                         dispatch(tid, attempt_no[tid], speculative=True)
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            for future in pending:
+                if not future.cancel() and not future.done():
+                    self.executor.retire_pool(origin[future])
         return [results[tid] for tid in task_ids]

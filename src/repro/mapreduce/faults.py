@@ -298,7 +298,7 @@ class ChaosExecutor(Executor):
 
     @property
     def slot_lease(self):  # type: ignore[override]
-        """Delegates to the wrapped backend: ``run_batch``/``make_pool``
+        """Delegates to the wrapped backend: ``run_batch`` and its pool
         run there, so the lease must live there too — and the scheduler
         may bind it before or after chaos wrapping."""
         return self.inner.slot_lease
@@ -380,8 +380,14 @@ class ChaosExecutor(Executor):
     ) -> list[TaskOutcome]:
         return self.inner.run_batch(fn, calls)
 
-    def make_pool(self):
-        return self.inner.make_pool()
+    def pool(self):
+        return self.inner.pool()
+
+    def retire_pool(self, pool) -> None:
+        self.inner.retire_pool(pool)
+
+    def close(self) -> None:
+        self.inner.close()
 
     @property
     def max_workers(self) -> int:

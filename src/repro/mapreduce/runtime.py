@@ -533,8 +533,9 @@ def _resolve_broadcast(job: Job, executor: Executor) -> Job:
     (the process backend), the job dispatched to tasks is swapped for a
     copy whose cache is a fingerprint-keyed
     :class:`~repro.mapreduce.executors.CacheHandle` — task pickles stay
-    O(split), and each pool worker receives the real cache exactly once
-    via its initializer.  Identity for every other backend.
+    O(split), and each pool worker loads the real cache at most once,
+    from the file the executor localised it to.  Identity for every
+    other backend.
     """
     base = executor
     while isinstance(base, ChaosExecutor):
@@ -582,6 +583,12 @@ class MapReduceRuntime:
     Every job runs one schedule on every executor: the map phase, then
     the barrier, then the reduce phase — each reduce task waits for
     every map task, as in the paper's chain of Hadoop jobs.
+
+    Every job of a runtime runs on its executor's one worker pool.
+    :meth:`close` (or leaving a ``with`` block) releases it when the
+    executor was resolved here from a name or the auto rule; an
+    executor handed in as an instance belongs to the caller, who
+    closes it.
     """
 
     def __init__(
@@ -618,6 +625,7 @@ class MapReduceRuntime:
         self.task_timeout_s = task_timeout_s
         self.speculative = speculative
         self.speculation_factor = speculation_factor
+        self._owns_executor = not isinstance(executor, Executor)
         self.default_executor = resolve_executor(executor, max_workers)
         if fault_plan is not None:
             self.default_executor = ChaosExecutor(
@@ -629,6 +637,18 @@ class MapReduceRuntime:
             obs.observe_events(self.events)
 
     # -- public API ---------------------------------------------------
+
+    def close(self) -> None:
+        """End the chain: join the worker pool of an executor this
+        runtime resolved itself.  A later job starts a new pool."""
+        if self._owns_executor:
+            self.default_executor.close()
+
+    def __enter__(self) -> "MapReduceRuntime":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def run(self, job: Job, splits: Sequence[InputSplit], conf: JobConf) -> JobResult:
         """Run one job over pre-computed input splits."""

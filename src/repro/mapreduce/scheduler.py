@@ -51,6 +51,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -747,7 +748,10 @@ class ClusterService:
             obs=run_obs,
         )
         try:
-            result = job.fn(ctx)
+            # The chain's runtime never closes an executor handed to
+            # it: release the chain's pool here, before reporting.
+            with closing(executor):
+                result = job.fn(ctx)
         except JobCancelledError:
             self._finish(job, _CANCELLED)
         except BaseException as error:  # noqa: BLE001 - reported via handle

@@ -37,11 +37,18 @@ bit-reproducible under fault injection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
+from repro.mapreduce import (
+    BatchMapper,
+    BufferedBatchMapper,
+    Context,
+    DistributedCache,
+    Job,
+    Reducer,
+)
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 from repro.mr.histogram import reject_non_finite
@@ -203,27 +210,28 @@ def build_coreset(
     )
 
 
-class AssignMapper(BufferedBatchMapper):
+class AssignMapper(BatchMapper):
     """Map-only full-data labelling against a fitted model.
 
-    Emits one packed ``(2, n_split)`` int64 array per split —
-    ``[row indices | labels]`` — instead of per-point pairs, so the
-    final full scan ships O(splits) shuffle values, not O(n).
+    Scores each delivered chunk as it arrives, so peak map memory is
+    the chunk, not the split (scoring is row-wise, so the labels do not
+    depend on the chunking).  Emits one packed ``(2, rows)`` int64
+    array per chunk — ``[row indices | labels]``, keyed by the chunk's
+    first row — instead of per-point pairs, so the final full scan
+    ships O(chunks) values, not O(n).
     """
 
     def setup(self, context: Context) -> None:
-        super().setup(context)
         self._model = context.cache["fitted_model"]
 
-    def cleanup(self, context: Context) -> None:
-        data = self.split_block()
-        if data is None:
+    def map_batch(
+        self, keys: Sequence[Any], block: np.ndarray, context: Context
+    ) -> None:
+        if len(block) == 0:
             return
-        labels = self._model.assign(data).cluster_ids
-        context.emit(
-            int(context.task_id),
-            np.stack([self.split_keys(), labels.astype(np.int64)]),
-        )
+        labels = self._model.assign(block).cluster_ids
+        rows = np.asarray(keys, dtype=np.int64)
+        context.emit(int(rows[0]), np.stack([rows, labels.astype(np.int64)]))
 
 
 def run_assign_job(

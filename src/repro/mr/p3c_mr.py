@@ -24,7 +24,9 @@ Relevant-interval detection stays in the driver (Section 5.2: at most
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -164,8 +166,12 @@ class P3CPlusMR:
         self.obs = base.for_run(run_id)
         return self.obs
 
-    def _make_chain(self) -> JobChain:
-        """Runtime + chain wired to this driver's observability context."""
+    @contextmanager
+    def _open_chain(self) -> Iterator[JobChain]:
+        """Runtime + chain wired to this driver's observability context.
+
+        The runtime is closed when the fit ends, however it ends, so
+        the chain's worker pool never outlives it."""
         mr_config = self.mr_config
         if self.context is not None:
             runtime = MapReduceRuntime(
@@ -191,7 +197,8 @@ class P3CPlusMR:
             max_block_rows=mr_config.max_block_rows,
         )
         self.chain = chain
-        return chain
+        with runtime:
+            yield chain
 
     def _run_core_phase(
         self,
@@ -285,9 +292,7 @@ class P3CPlusMR:
         if coreset_size is not None and coreset_size < n:
             return self._fit_splits_coreset(splits, n, d)
         obs = self._begin_run()
-        with obs.run("p3c_plus_mr", n=n, d=d):
-            chain = self._make_chain()
-
+        with obs.run("p3c_plus_mr", n=n, d=d), self._open_chain() as chain:
             cores, diagnostics = self._run_core_phase(splits, n, chain)
             if not cores:
                 return self._empty_result(n, d, diagnostics, chain)
@@ -344,9 +349,10 @@ class P3CPlusMR:
         """
         mr_config = self.mr_config
         obs = self._begin_run()
-        with obs.run("p3c_plus_mr_coreset", n=n, d=d):
-            chain = self._make_chain()
-
+        with (
+            obs.run("p3c_plus_mr_coreset", n=n, d=d),
+            self._open_chain() as chain,
+        ):
             with obs.stage("coreset_summary", mode=mr_config.coreset_mode):
                 started = time.perf_counter()
                 summary = build_coreset(

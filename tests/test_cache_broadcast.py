@@ -1,11 +1,16 @@
 """Tests for the process-executor data plane: stable cache
-fingerprints, per-worker broadcast via :class:`CacheHandle`, and
-pickle-5 out-of-band argument packing.
+fingerprints, per-worker broadcast via :class:`CacheHandle` (localised
+files, a bounded registry, workers reused across jobs), and pickle-5
+out-of-band argument packing.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import pickle
+import sys
+import threading
 from typing import Any
 
 import numpy as np
@@ -24,9 +29,10 @@ from repro.mapreduce import (
     Reducer,
     SerialExecutor,
 )
+from repro.mapreduce import executors
 from repro.mapreduce.executors import (
+    _MAX_BROADCASTS,
     _WORKER_CACHES,
-    _install_broadcasts,
     _pack_args,
     _run_packed,
 )
@@ -113,6 +119,7 @@ class TestCacheHandle:
         handle = executor.broadcast(big)
         handle_bytes = pickle.dumps(handle, protocol=5)
         cache_bytes = pickle.dumps(big, protocol=5)
+        executor.close()
         assert len(handle_bytes) < 200
         assert len(cache_bytes) > 1_000_000
         clone = pickle.loads(handle_bytes)
@@ -124,16 +131,64 @@ class TestCacheHandle:
         cache = DistributedCache({"x": np.arange(4)})
         first = executor.broadcast(cache)
         second = executor.broadcast(DistributedCache({"x": np.arange(4)}))
-        assert first.fingerprint() == second.fingerprint()
         assert len(executor._broadcasts) == 1
+        executor.close()
+        assert first.fingerprint() == second.fingerprint()
+        assert first.path == second.path
 
-    def test_install_broadcasts_initializer(self):
+    def test_miss_loads_localised_file_once(self):
+        executor = ProcessExecutor(max_workers=1)
         cache = DistributedCache({"seed": 7})
+        handle = pickle.loads(pickle.dumps(executor.broadcast(cache)))
         try:
-            _install_broadcasts({cache.fingerprint(): cache})
-            assert CacheHandle(cache.fingerprint())["seed"] == 7
-        finally:
+            # A worker forked before the broadcast misses its registry...
             del _WORKER_CACHES[cache.fingerprint()]
+            assert handle["seed"] == 7
+            # ...loads the file once, then resolves from the registry.
+            os.unlink(handle.path)
+            assert handle["seed"] == 7
+        finally:
+            executor.close()
+        assert not os.path.exists(os.path.dirname(handle.path))
+        assert cache.fingerprint() not in _WORKER_CACHES
+
+    def test_unclosed_executor_removes_its_files_when_collected(self):
+        executor = ProcessExecutor(max_workers=1)
+        handle = executor.broadcast(DistributedCache({"seed": 7}))
+        assert os.path.exists(handle.path)
+        del executor
+        gc.collect()
+        assert not os.path.exists(os.path.dirname(handle.path))
+
+    def test_concurrent_registration_keeps_the_cap(self):
+        # Chains on several threads broadcast into one registry; an
+        # unguarded eviction races into a KeyError.
+        errors: list[Exception] = []
+
+        def register(worker: int) -> None:
+            caches = [DistributedCache({"worker": worker, "i": i}) for i in range(16)]
+            try:
+                for _ in range(1000):
+                    for cache in caches:
+                        executors._register(cache.fingerprint(), cache)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=register, args=(w,)) for w in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(_WORKER_CACHES) == _MAX_BROADCASTS
 
 
 class TestArgumentPacking:
@@ -157,8 +212,9 @@ class TestArgumentPacking:
 
 
 class CacheProbeMapper(Mapper):
-    """Emits, per record, the value looked up in the distributed cache
-    and the concrete cache type the task saw."""
+    """Emits, per record, the value looked up in the distributed cache,
+    the concrete cache type the task saw, the worker's pid and the size
+    of its cache registry."""
 
     def setup(self, context: Context) -> None:
         self._offsets: np.ndarray = context.cache["offsets"]
@@ -167,6 +223,8 @@ class CacheProbeMapper(Mapper):
     def map(self, key: Any, value: int, context: Context) -> None:
         context.emit(key, int(self._offsets[value]))
         context.emit(("cache_type", key), self._cache_type)
+        context.emit(("pid", key), os.getpid())
+        context.emit(("registry", key), len(executors._WORKER_CACHES))
 
 
 class FirstReducer(Reducer):
@@ -174,29 +232,58 @@ class FirstReducer(Reducer):
         context.emit(key, values[0])
 
 
-def _probe_job() -> tuple[Job, list]:
+def _probe_job(shift: int = 0) -> tuple[Job, list]:
     job = Job(
         mapper_factory=CacheProbeMapper,
         reducer_factory=FirstReducer,
-        cache=DistributedCache({"offsets": np.arange(8) * 10}),
+        cache=DistributedCache({"offsets": np.arange(8) * 10 + shift}),
     )
     splits = split_records([(i, i) for i in range(8)], 4)
     return job, splits
 
 
+def _probes(result, name: str) -> set:
+    return {
+        v for k, v in result.output if isinstance(k, tuple) and k[0] == name
+    }
+
+
 class TestBroadcastEndToEnd:
     def test_process_tasks_see_a_handle_and_correct_values(self):
-        job, splits = _probe_job()
-        runtime = MapReduceRuntime(executor=ProcessExecutor(2))
-        result = runtime.run(job, splits, JobConf(num_reducers=1))
-        output = dict(result.output)
-        for i in range(8):
-            assert output[i] == i * 10
-        # Every map task resolved the cache through the broadcast handle.
-        assert {
-            v for k, v in output.items()
-            if isinstance(k, tuple) and k[0] == "cache_type"
-        } == {"CacheHandle"}
+        executor = ProcessExecutor(2)
+        runtime = MapReduceRuntime(executor=executor)
+        results = []
+        try:
+            # The second job's cache is broadcast after the pool started.
+            for shift in (0, 5):
+                job, splits = _probe_job(shift)
+                results.append(runtime.run(job, splits, JobConf(num_reducers=1)))
+        finally:
+            executor.close()
+        for shift, result in zip((0, 5), results):
+            output = dict(result.output)
+            for i in range(8):
+                assert output[i] == i * 10 + shift
+            # Every map task resolved the cache through the broadcast handle.
+            assert _probes(result, "cache_type") == {"CacheHandle"}
+        # Both jobs ran in the same forked workers.
+        first, second = (_probes(result, "pid") for result in results)
+        assert os.getpid() not in first | second
+        assert len(first | second) <= executor.max_workers
+
+    def test_worker_registry_stays_bounded(self):
+        executor = ProcessExecutor(2)
+        runtime = MapReduceRuntime(executor=executor)
+        sizes: set[int] = set()
+        try:
+            for shift in range(10):
+                job, splits = _probe_job(shift)
+                result = runtime.run(job, splits, JobConf(num_reducers=1))
+                assert dict(result.output)[7] == 70 + shift
+                sizes |= _probes(result, "registry")
+        finally:
+            executor.close()
+        assert max(sizes) <= _MAX_BROADCASTS
 
     def test_serial_matches_process_output(self):
         job, splits = _probe_job()
@@ -206,11 +293,10 @@ class TestBroadcastEndToEnd:
         process = MapReduceRuntime(executor=ProcessExecutor(2)).run(
             job, splits, JobConf(num_reducers=1)
         )
-        # Payloads match except the probe rows naming the cache type.
+        # Payloads match except the probe rows (cache type, pid, registry).
         def payload(result):
             return [
-                (k, v) for k, v in result.output
-                if not (isinstance(k, tuple) and k[0] == "cache_type")
+                (k, v) for k, v in result.output if not isinstance(k, tuple)
             ]
 
         assert payload(serial) == payload(process)

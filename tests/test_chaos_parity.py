@@ -10,6 +10,7 @@ sweep is reproducible.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -191,6 +192,7 @@ def test_scheduler_concurrent_chains_match_serial(
 
         return run, plan
 
+    before = {child.pid for child in multiprocessing.active_children()}
     with ClusterService(slots=slots, executor=executor) as service:
         handles = []
         for i in range(num_chains):
@@ -202,6 +204,9 @@ def test_scheduler_concurrent_chains_match_serial(
             )
         results = [handle.result(timeout=120) for handle in handles]
     assert all(outputs == clean_baseline for outputs in results)
+    # Each chain closed its executor's pool before reporting.
+    left = {child.pid for child in multiprocessing.active_children()} - before
+    assert left == set()
 
 
 # -- vectorized (BatchMapper) chain parity --------------------------------

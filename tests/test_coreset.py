@@ -26,7 +26,7 @@ from repro.core.p3c_plus import P3CPlusConfig
 from repro.core.stats import effective_sample_size
 from repro.core.types import ClusterCore, Interval, Signature
 from repro.eval import e4sc_score
-from repro.mapreduce import JobChain, MapReduceRuntime, split_records
+from repro.mapreduce import Counters, JobChain, MapReduceRuntime, split_records
 from repro.mr import P3CPlusMR, P3CPlusMRConfig
 from repro.mr.coreset import (
     SUPPORTED_MODES,
@@ -379,13 +379,23 @@ class TestAssignJob:
         )
         driver.fit(small_dataset.data)
         expected = driver.fitted_model.assign(small_dataset.data).cluster_ids
+        splits = split_records(small_dataset.data, 5)
         membership = run_assign_job(
-            _chain(),
-            split_records(small_dataset.data, 5),
-            driver.fitted_model,
-            len(small_dataset.data),
+            _chain(), splits, driver.fitted_model, len(small_dataset.data)
         )
         assert np.array_equal(membership, expected)
+        # Chunked delivery scores chunk by chunk: same labels, one
+        # packed record per chunk.
+        rows = 97
+        chain = JobChain(MapReduceRuntime(executor="serial"), max_block_rows=rows)
+        chunked = run_assign_job(
+            chain, splits, driver.fitted_model, len(small_dataset.data)
+        )
+        assert np.array_equal(chunked, membership)
+        counters = chain.steps[-1].result.counters
+        assert counters.framework_value(Counters.MAP_OUTPUT_RECORDS) == sum(
+            -(-len(split) // rows) for split in splits
+        )
 
 
 # -- driver-level coreset fit ----------------------------------------------

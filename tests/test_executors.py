@@ -1,11 +1,16 @@
 """Tests for the pluggable executor layer and the runtime event stream:
 backend resolution, serial/thread/process parity (down to the full
-P3C+-MR pipeline on the Figure-6 small config), parallel reduce, and
-per-attempt trace events.
+P3C+-MR pipeline on the Figure-6 small config), parallel reduce,
+per-attempt trace events, and one worker pool per chain.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures import BrokenExecutor
 from typing import Any
 
 import numpy as np
@@ -14,14 +19,19 @@ import pytest
 from repro.core.types import ClusteringResult
 from repro.mapreduce import (
     Context,
+    Counters,
+    DistributedCache,
     EventKind,
+    FaultPlan,
     Job,
+    JobChain,
     JobConf,
     Mapper,
     MapReduceRuntime,
     ProcessExecutor,
     Reducer,
     SerialExecutor,
+    TaskFailedError,
     ThreadExecutor,
     resolve_executor,
 )
@@ -164,11 +174,14 @@ class TestExecutorParity:
             QUICK_SCALE.seed,
         )
         results = []
+        before = _live_children()
         for name in EXECUTOR_NAMES:
             driver = P3CPlusMR(
                 mr_config=P3CPlusMRConfig(executor=name, max_workers=2)
             )
             results.append(driver.fit(dataset.data))
+        # The fit closed its chain's pool: no worker outlives it.
+        assert _live_children() - before == set()
         _assert_identical_results(results[0], results[1])
         _assert_identical_results(results[0], results[2])
 
@@ -293,3 +306,157 @@ class TestCalibration:
         runtime.run(job, _text_splits(), JobConf(name="wc"))
         fitted = ClusterCostModel().calibrate(runtime.events)
         assert fitted.map_record_cost_s > 0
+
+
+# -- one pool per chain ----------------------------------------------------
+
+_PARENT_PID = os.getpid()
+
+
+def _live_children() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class _CountingProcessExecutor(ProcessExecutor):
+    """A process executor that counts the pools it starts."""
+
+    def __init__(self, max_workers: int) -> None:
+        super().__init__(max_workers)
+        self.pools = 0
+
+    def make_pool(self):
+        self.pools += 1
+        return super().make_pool()
+
+
+class PidMapper(Mapper):
+    """Emits each record, and the pid of the process that mapped it."""
+
+    def map(self, key: Any, value: int, context: Context) -> None:
+        context.emit(key, value)
+        context.emit(("pid", key), os.getpid())
+
+
+class WorkerKillingMapper(PidMapper):
+    """Kills its worker process on the first attempt that runs in one."""
+
+    def setup(self, context: Context) -> None:
+        if os.getpid() == _PARENT_PID:
+            return
+        try:
+            open(context.cache["flag"], "x").close()
+        except FileExistsError:
+            return
+        os._exit(1)
+
+
+def _records(result) -> list:
+    return [(k, v) for k, v in result.output if not isinstance(k, tuple)]
+
+
+def _pids(result) -> set[int]:
+    return {v for k, v in result.output if isinstance(k, tuple)}
+
+
+def _pid_splits():
+    return split_records([(i, i) for i in range(8)], 4)
+
+
+def _wait_until_broken(pool) -> None:
+    """Probe ``pool`` until it reports a dead worker: the pool's own
+    manager thread notices the death asynchronously."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            pool.submit(os.getpid).result(timeout=10)
+        except BrokenExecutor:
+            return
+        time.sleep(0.01)
+    raise AssertionError("the pool never reported its dead worker")
+
+
+class TestPoolPerChain:
+    def test_chain_reuses_one_pool(self):
+        executor = _CountingProcessExecutor(2)
+        chain = JobChain(MapReduceRuntime(executor=executor))
+        try:
+            results = [
+                chain.run(
+                    f"job{i}",
+                    Job(mapper_factory=PidMapper),
+                    _pid_splits(),
+                    num_reducers=0,
+                )
+                for i in range(3)
+            ]
+        finally:
+            executor.close()
+        assert executor.pools == 1
+        pids = set().union(*(_pids(result) for result in results))
+        # Three jobs, one set of forked workers.
+        assert os.getpid() not in pids
+        assert len(pids) <= executor.max_workers
+
+    @pytest.mark.parametrize("task_timeout_s", [None, 30])
+    def test_dead_worker_does_not_break_later_jobs(self, tmp_path, task_timeout_s):
+        flag = tmp_path / "killed"
+        job = Job(
+            mapper_factory=WorkerKillingMapper,
+            cache=DistributedCache({"flag": str(flag)}),
+        )
+        expected = MapReduceRuntime().run(
+            job, _pid_splits(), JobConf(num_reducers=0)
+        )
+        executor = _CountingProcessExecutor(2)
+        runtime = MapReduceRuntime(executor=executor, task_timeout_s=task_timeout_s)
+        try:
+            first, second = (
+                runtime.run(job, _pid_splits(), JobConf(name=name, num_reducers=0))
+                for name in ("first", "second")
+            )
+        finally:
+            executor.close()
+        assert flag.exists()  # a worker really died
+        assert _records(first) == _records(expected)
+        assert first.counters.framework_value(Counters.TASK_RETRIES) >= 1
+        # The broken pool was retired; the next job got a fresh one.
+        assert _records(second) == _records(expected)
+        assert executor.pools == 2
+        assert os.getpid() not in _pids(second)
+
+    @pytest.mark.parametrize("task_timeout_s", [None, 30])
+    def test_worker_killed_between_jobs(self, task_timeout_s):
+        # Batch path and timeout path alike: the idle pool's death is
+        # found at submit, the pool retired and the job run on a fresh
+        # one without costing an attempt.
+        job = Job(mapper_factory=PidMapper)
+        expected = MapReduceRuntime().run(job, _pid_splits(), JobConf(num_reducers=0))
+        executor = _CountingProcessExecutor(2)
+        runtime = MapReduceRuntime(executor=executor, task_timeout_s=task_timeout_s)
+        try:
+            first = runtime.run(job, _pid_splits(), JobConf(num_reducers=0))
+            victim = min(_pids(first))
+            os.kill(victim, signal.SIGKILL)
+            _wait_until_broken(executor.pool())
+            second = runtime.run(job, _pid_splits(), JobConf(num_reducers=0))
+        finally:
+            executor.close()
+        assert _records(second) == _records(expected)
+        assert executor.pools == 2
+        assert second.counters.framework_value(Counters.TASK_RETRIES) == 0
+        assert victim not in _pids(second)
+
+    def test_failed_fit_leaves_no_worker_behind(self, small_dataset):
+        before = _live_children()
+        driver = P3CPlusMR(
+            mr_config=P3CPlusMRConfig(
+                num_splits=4,
+                executor="process",
+                max_workers=2,
+                fault_plan=FaultPlan.parse("map:error:job=em_iter:always=1"),
+            )
+        )
+        with pytest.raises(TaskFailedError):
+            driver.fit(small_dataset.data)
+        assert driver.chain.num_jobs > 1  # the pool served earlier jobs
+        assert _live_children() - before == set()

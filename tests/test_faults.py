@@ -4,6 +4,8 @@ timeouts and speculative execution."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 from collections import Counter
 
@@ -41,6 +43,11 @@ class SlowMapper(Mapper):
     def map(self, key, value, context):
         time.sleep(0.002)
         context.emit(key % 3, value)
+
+
+class PidMapper(Mapper):
+    def map(self, key, value, context):
+        context.emit(key, os.getpid())
 
 
 def _job(mapper=ModMapper):
@@ -292,6 +299,34 @@ class TestTaskTimeouts:
         kinds = _event_kinds(runtime)
         assert kinds[EventKind.TASK_TIMEOUT] >= 1
         assert kinds[EventKind.TASK_RETRY] >= 1
+
+    def test_straggler_does_not_hold_a_worker_in_the_next_job(self):
+        # The abandoned attempt sleeps on in its worker, so the first
+        # job retires the chain's pool and the second starts a fresh one.
+        plan = FaultPlan.parse("map:delay:job=first:task=1:ms=1500")
+        before = {child.pid for child in multiprocessing.active_children()}
+        pids = {}
+        with MapReduceRuntime(
+            executor="process",
+            max_workers=2,
+            fault_plan=plan,
+            task_timeout_s=0.3,
+        ) as runtime:
+            for name in ("first", "second"):
+                result = runtime.run(
+                    Job(mapper_factory=PidMapper),
+                    _splits(),
+                    JobConf(name=name, num_splits=6),
+                )
+                assert sorted(key for key, _ in result.output) == list(range(30))
+                pids[name] = {pid for _, pid in result.output}
+        assert _event_kinds(runtime)[EventKind.TASK_TIMEOUT] >= 1
+        assert os.getpid() not in pids["first"] | pids["second"]
+        assert pids["first"].isdisjoint(pids["second"])
+        for child in multiprocessing.active_children():
+            if child.pid not in before:
+                child.join(timeout=5)
+                assert not child.is_alive()
 
     def test_permanent_straggler_exhausts_attempts(self):
         plan = FaultPlan.parse("map:delay:task=0:ms=200:always=1")
