@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.stats import mahalanobis_squared
+from repro.core.stats import (
+    inverse_cholesky,
+    mahalanobis_squared,
+    whitened_squared_norm,
+)
 from repro.core.types import ClusterCore
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -80,13 +84,6 @@ class GaussianMixture:
         """Project full-space rows onto the mixture's subspace."""
         return data[:, list(self.attributes)]
 
-    def log_responsibilities(self, sub: np.ndarray) -> np.ndarray:
-        """``log p(component | x)`` for each point (rows) and component
-        (columns), computed in subspace coordinates."""
-        joint = self._log_joint(sub)
-        norm = _logsumexp_rows(joint)
-        return joint - norm[:, None]
-
     def e_step(self, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Responsibilities ``p(component | x)`` and per-point
         log-densities ``log p(x)`` from one log-joint evaluation."""
@@ -96,8 +93,16 @@ class GaussianMixture:
 
     def assign(self, sub: np.ndarray) -> np.ndarray:
         """Hard argmax-posterior assignment (the paper's conversion of
-        Gaussians into projected clusters)."""
-        return np.argmax(self._log_joint(sub), axis=1)
+        Gaussians into projected clusters).  Each ``d_j^2`` comes from
+        the row-stable kernel, so a point's component does not depend on
+        the batch or split it arrives in."""
+        inverse, constants = self.whitening()
+        columns = np.ascontiguousarray(self._as_batch(sub).T)
+        joint = [
+            constants[j] - 0.5 * whitened_squared_norm(columns, mean, inverse[j])
+            for j, mean in enumerate(self.means)
+        ]
+        return np.argmax(joint, axis=0)
 
     def _as_batch(self, sub: np.ndarray) -> np.ndarray:
         """Normalise a point batch to ``(n, m)`` subspace coordinates.
@@ -129,8 +134,7 @@ class GaussianMixture:
             inverse = np.empty((k, m, m))
             constants = np.empty(k)
             for j in range(k):
-                chol, log_det = _safe_cholesky(self.covariances[j])
-                inverse[j] = np.linalg.inv(chol)
+                inverse[j], log_det = inverse_cholesky(self.covariances[j])
                 constants[j] = np.log(max(self.weights[j], 1e-300)) - 0.5 * (
                     m * _LOG_2PI + log_det
                 )
@@ -141,6 +145,8 @@ class GaussianMixture:
         """``log w_j + log N(x | mu_j, Sigma_j)`` per point (rows) and
         component (columns): one whitening matmul per component,
         ``z = L_j^-1 (x - mu_j)``, and the quadratic form is ``|z|^2``.
+        The E-step's soft sums need not be batch-stable, so they keep
+        this gemm; hard verdicts go through the row-stable kernel.
 
         Computed column-major (each component's column contiguous), so
         the per-point reductions over components stay vectorised.
@@ -160,26 +166,23 @@ def _logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
     return (peak + np.log(np.exp(matrix - peak).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def _safe_cholesky(cov: np.ndarray, ridge: float = 1e-9) -> tuple[np.ndarray, float]:
-    m = cov.shape[0]
-    attempt = cov
-    for _ in range(40):
-        try:
-            chol = np.linalg.cholesky(attempt)
-            log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-            return chol, log_det
-        except np.linalg.LinAlgError:
-            attempt = attempt + ridge * np.eye(m)
-            ridge *= 10
-    raise np.linalg.LinAlgError("covariance could not be regularised")
-
-
 def relevant_attributes(cores: list[ClusterCore]) -> tuple[int, ...]:
     """``A_rel`` (Eq. 3): attributes relevant to at least one core."""
     attrs: set[int] = set()
     for core in cores:
         attrs.update(core.attributes)
     return tuple(sorted(attrs))
+
+
+def nearest_component(
+    sub: np.ndarray, means: np.ndarray, covariances: np.ndarray
+) -> np.ndarray:
+    """Section 5.4's stray rule: the index of each row's
+    Mahalanobis-nearest component (serial and MR initialisation)."""
+    distances = [
+        mahalanobis_squared(sub, mean, cov) for mean, cov in zip(means, covariances)
+    ]
+    return np.argmin(distances, axis=0)
 
 
 def _moments(
@@ -231,11 +234,7 @@ def initialize_from_cores(
     stray = ~in_any
     member_masks = [mask.copy() for mask in masks]
     if stray.any():
-        distances = np.stack(
-            [mahalanobis_squared(sub[stray], means[j], covs[j]) for j in range(k)],
-            axis=1,
-        )
-        nearest = np.argmin(distances, axis=1)
+        nearest = nearest_component(sub[stray], means, covs)
         stray_idx = np.where(stray)[0]
         for j in range(k):
             member_masks[j][stray_idx[nearest == j]] = True

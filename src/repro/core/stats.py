@@ -9,8 +9,11 @@ Implements the statistical tool-kit of Sections 3-4:
 - the chi-squared uniformity test used for relevant-attribute detection;
 - Cohen's d_cc effect size with sigma = Supp_exp (Eq. 4), the P3C+
   complement to the significance test;
-- Mahalanobis distances and the chi-squared critical value used by
-  outlier detection (Section 4.2.2).
+- the Mahalanobis kernel behind every hard verdict of Sections 4.2.2,
+  5.4 and 5.5 — one ridge-regularised Cholesky factor per covariance
+  (:func:`inverse_cholesky`) and one row-stable triangular whitening
+  (:func:`whitened_squared_norm`) — and the chi-squared critical value
+  used by outlier detection.
 """
 
 from __future__ import annotations
@@ -159,35 +162,67 @@ def is_uniform(counts: np.ndarray, alpha: float = 0.001) -> bool:
     return chi_squared_uniformity_pvalue(counts) >= alpha
 
 
+def inverse_cholesky(
+    cov: np.ndarray, ridge: float = 1e-9
+) -> tuple[np.ndarray, float]:
+    """The inverse Cholesky factor ``L^-1`` of ``cov = L L^T`` and
+    ``log det cov``: the one place a covariance is factored.
+
+    A covariance that is singular or indefinite by rounding (routine for
+    tiny clusters and degenerate attributes) gets a growing ridge on its
+    diagonal until it factors, so distances stay finite and never turn
+    negative.
+    """
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    m = cov.shape[0]
+    attempt = cov
+    for _ in range(40):
+        try:
+            chol = np.linalg.cholesky(attempt)
+        except np.linalg.LinAlgError:
+            attempt = attempt + ridge * np.eye(m)
+            ridge *= 10
+            continue
+        return np.linalg.inv(chol), 2.0 * float(np.log(np.diag(chol)).sum())
+    raise np.linalg.LinAlgError("covariance could not be regularised")
+
+
+def whitened_squared_norm(
+    columns: np.ndarray, mean: np.ndarray, inverse_chol: np.ndarray
+) -> np.ndarray:
+    """Squared Mahalanobis distance ``|L^-1 (x - mean)|^2`` of each
+    column of the ``(m, n)`` block ``columns``.
+
+    ``z_a = sum_{b <= a} L^-1[a, b] (x_b - mean_b)`` is accumulated in
+    fixed ``b`` order with elementwise operations over contiguous rows,
+    so a point rounds the same way in any batch.  A gemm or einsum does
+    not (blocking and SIMD tails round a point differently in a 1-row
+    and a 58-row batch), so every hard verdict goes through this kernel:
+    stray assignment, component choice, MVB membership, the outlier test.
+    """
+    diff = [columns[b] - mean[b] for b in range(len(mean))]
+    out = np.zeros(columns.shape[1])
+    for a in range(len(diff)):
+        z = inverse_chol[a, 0] * diff[0]
+        for b in range(1, a + 1):
+            z += inverse_chol[a, b] * diff[b]
+        out += z * z
+    return out
+
+
 def mahalanobis_squared(
     points: np.ndarray,
     mean: np.ndarray,
     cov: np.ndarray,
 ) -> np.ndarray:
     """Squared Mahalanobis distance of each row of ``points`` to
-    ``(mean, cov)``.
-
-    The covariance is regularised (ridge on the diagonal) when singular,
-    which happens routinely for tiny clusters or degenerate attributes.
-    """
+    ``(mean, cov)``: :func:`inverse_cholesky` then
+    :func:`whitened_squared_norm`."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    mean = np.asarray(mean, dtype=float)
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    diff = points - mean
-    inv = _robust_inverse(cov)
-    return np.einsum("ij,jk,ik->i", diff, inv, diff)
-
-
-def _robust_inverse(cov: np.ndarray, ridge: float = 1e-9) -> np.ndarray:
-    dim = cov.shape[0]
-    attempt = cov
-    for _ in range(40):
-        try:
-            return np.linalg.inv(attempt)
-        except np.linalg.LinAlgError:
-            attempt = attempt + ridge * np.eye(dim)
-            ridge *= 10
-    return np.linalg.pinv(cov)
+    inverse, _ = inverse_cholesky(cov)
+    return whitened_squared_norm(
+        np.ascontiguousarray(points.T), np.atleast_1d(mean).astype(float), inverse
+    )
 
 
 @lru_cache(maxsize=1024)

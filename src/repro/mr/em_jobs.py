@@ -48,8 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.em import GaussianMixture
-from repro.core.stats import mahalanobis_squared
+from repro.core.em import GaussianMixture, nearest_component
 from repro.core.types import Signature
 from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.job import ArraySumCombiner
@@ -122,14 +121,7 @@ class SupportPlusStrayWeights(CoreSupportWeights):
         stray = base.sum(axis=1) == 0
         if stray.any():
             sub = data[np.ix_(stray, list(self.attributes))]
-            distances = np.stack(
-                [
-                    mahalanobis_squared(sub, self.means[j], self.covariances[j])
-                    for j in range(len(self.signatures))
-                ],
-                axis=1,
-            )
-            nearest = np.argmin(distances, axis=1)
+            nearest = nearest_component(sub, self.means, self.covariances)
             stray_rows = np.where(stray)[0]
             base[stray_rows, nearest] = 1.0
         return base, None

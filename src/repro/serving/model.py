@@ -34,14 +34,12 @@ scores)`` aligned with the input rows:
   projected-clustering semantics demand.
 
 The batch path is vectorised; :func:`reference_assign` is the scalar
-oracle it is property-tested against, element-wise bitwise.  The
-component log-joint is computed from a fixed-reduction-order quadratic
-form plus a precomputed Cholesky log-determinant — mathematically
-identical to ``GaussianMixture.assign`` but row-stable, so batch and
-scalar scoring agree bit-for-bit.  Neither LAPACK's blocked triangular
-solve nor ``np.einsum`` (whose SIMD tail handling rounds a row
-differently depending on its position in the batch) gives that
-guarantee, hence :func:`_stable_mahalanobis` below.
+oracle it is property-tested against, element-wise bitwise.  Both pick
+the component with ``GaussianMixture.assign`` and score it against the
+MVB moments with the same Mahalanobis kernel
+(``core.stats.whitened_squared_norm``), whose fixed-order elementwise
+whitening rounds a row the same way in any batch; the covariances are
+factored once, by ``core.stats.inverse_cholesky``.
 """
 
 from __future__ import annotations
@@ -51,9 +49,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.em import _LOG_2PI, GaussianMixture, _safe_cholesky
+from repro.core.em import GaussianMixture
 from repro.core.outliers import small_sample_inflation
-from repro.core.stats import _robust_inverse, chi2_critical_value
+from repro.core.stats import (
+    chi2_critical_value,
+    inverse_cholesky,
+    whitened_squared_norm,
+)
 from repro.core.types import ClusterCore
 from repro.mapreduce.cache import DistributedCache
 from repro.mr.rssc import RSSC
@@ -61,31 +63,6 @@ from repro.mr.rssc import RSSC
 #: Schema identifier persisted with every registry entry; bumped on any
 #: layout change so stale bundles fail loudly instead of mis-scoring.
 SCHEMA_VERSION = "repro.serving/fitted-model/v1"
-
-
-def _stable_mahalanobis(
-    points: np.ndarray, mean: np.ndarray, inv: np.ndarray
-) -> np.ndarray:
-    """Squared Mahalanobis distance with a batch-size-independent
-    per-row rounding.
-
-    ``core.stats.mahalanobis_squared`` contracts via ``np.einsum``,
-    which rounds a row's quadratic form differently depending on where
-    it lands relative to the SIMD tail — the same point can score a
-    last-ulp different value in a 1-row batch than in a 58-row batch.
-    Serving promises batch == scalar bitwise, so the quadratic form is
-    accumulated here in explicit ``(a, b)`` order with elementwise ops
-    only; each row then goes through an identical operation sequence
-    regardless of how many neighbours it has.  ``A_rel`` is small
-    (typically 1-4 attributes), so the m² Python loop is cheap.
-    """
-    diff = points - mean
-    quad = np.zeros(len(diff))
-    m = diff.shape[1]
-    for a in range(m):
-        for b in range(m):
-            quad += diff[:, a] * inv[a, b] * diff[:, b]
-    return quad
 
 
 class AssignResult(NamedTuple):
@@ -160,42 +137,21 @@ class FittedModel:
         return rssc
 
     def _full_scorer(self) -> dict:
-        """Precomputed per-component constants for the full-model path."""
+        """Inverse Cholesky factors of the MVB covariances and the
+        per-component outlier cutoffs."""
         scorer = self._caches.get("full")
         if scorer is None:
-            mixture = self.mixture
-            assert mixture is not None
-            k = mixture.num_components
-            m = len(mixture.attributes)
-            log_weights = np.log(np.maximum(mixture.weights, 1e-300))
-            log_dets = np.empty(k)
-            em_inverses = np.empty((k, m, m))
-            od_inverses = np.empty((k, m, m))
-            for j in range(k):
-                _, log_dets[j] = _safe_cholesky(mixture.covariances[j])
-                em_inverses[j] = _robust_inverse(
-                    np.atleast_2d(mixture.covariances[j])
-                )
-                od_inverses[j] = _robust_inverse(
-                    np.atleast_2d(self.od_covariances[j])
-                )
+            m = len(self.mixture.attributes)
             # The fit's OD job runs this scorer, so these are its cutoffs:
             # χ² at outlier_alpha with |A_rel| degrees of freedom, inflated
             # for small per-component sample counts.
             base = chi2_critical_value(m, self.outlier_alpha)
-            critical = np.empty(k)
-            for j in range(k):
-                inflation = small_sample_inflation(int(self.od_counts[j]), m)
-                critical[j] = (
-                    base * inflation if np.isfinite(inflation) else np.inf
-                )
+            inflation = [small_sample_inflation(int(c), m) for c in self.od_counts]
             scorer = {
-                "log_weights": log_weights,
-                "log_dets": log_dets,
-                "em_inverses": em_inverses,
-                "od_inverses": od_inverses,
-                "critical": critical,
-                "const": m * _LOG_2PI,
+                "od_inverses": [inverse_cholesky(c)[0] for c in self.od_covariances],
+                "critical": np.array(
+                    [base * f if np.isfinite(f) else np.inf for f in inflation]
+                ),
             }
             self._caches["full"] = scorer
         return scorer
@@ -241,31 +197,21 @@ class FittedModel:
     def _assign_full(
         self, clean: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mixture = self.mixture
-        assert mixture is not None
         scorer = self._full_scorer()
-        sub = mixture.project(clean)
-        k = mixture.num_components
-        joint = np.empty((len(sub), k))
-        for j in range(k):
-            d2 = _stable_mahalanobis(
-                sub, mixture.means[j], scorer["em_inverses"][j]
-            )
-            joint[:, j] = scorer["log_weights"][j] - 0.5 * (
-                scorer["const"] + scorer["log_dets"][j] + d2
-            )
-        assignment = np.argmax(joint, axis=1)
-        d2_out = np.empty(len(sub))
-        for j in range(k):
+        sub = self.mixture.project(clean)
+        assignment = self.mixture.assign(sub)
+        columns = np.ascontiguousarray(sub.T)
+        d2 = np.empty(len(sub))
+        for j, inverse in enumerate(scorer["od_inverses"]):
             members = assignment == j
             if members.any():
-                d2_out[members] = _stable_mahalanobis(
-                    sub[members], self.od_means[j], scorer["od_inverses"][j]
+                d2[members] = whitened_squared_norm(
+                    columns[:, members], self.od_means[j], inverse
                 )
-        outliers = d2_out > scorer["critical"][assignment]
+        outliers = d2 > scorer["critical"][assignment]
         ids = assignment.astype(np.int64)
         ids[outliers] = -1
-        return ids, outliers, d2_out
+        return ids, outliers, d2
 
     def _assign_light(
         self, clean: np.ndarray
@@ -331,7 +277,7 @@ def reference_assign(model: FittedModel, points: np.ndarray) -> AssignResult:
     bitwise-identical) and the denominator of the serving benchmark's
     speedup gate.  Deliberately naive: a Python loop over rows, the
     arbitrary-precision ``membership_bits`` path for core membership,
-    per-row Mahalanobis evaluations for the mixture.
+    one-row calls of the mixture's assignment and the Mahalanobis kernel.
     """
     points = model._as_batch(points)
     rel = list(model.relevant_attributes)
@@ -347,27 +293,14 @@ def reference_assign(model: FittedModel, points: np.ndarray) -> AssignResult:
             scores.append(float("nan"))
             continue
         if model.mixture is not None:
-            mixture = model.mixture
-            sub = row[list(mixture.attributes)][None, :]
-            k = mixture.num_components
-            joint = np.empty(k)
-            for j in range(k):
-                d2 = _stable_mahalanobis(
-                    sub, mixture.means[j], scorer["em_inverses"][j]
-                )[0]
-                joint[j] = scorer["log_weights"][j] - 0.5 * (
-                    scorer["const"] + scorer["log_dets"][j] + d2
-                )
-            best = int(np.argmax(joint))
-            d2_out = float(
-                _stable_mahalanobis(
-                    sub, model.od_means[best], scorer["od_inverses"][best]
-                )[0]
-            )
-            is_outlier = d2_out > scorer["critical"][best]
+            sub = model.mixture.project(row[None, :])
+            best = int(model.mixture.assign(sub)[0])
+            inverse = scorer["od_inverses"][best]
+            d2 = float(whitened_squared_norm(sub.T, model.od_means[best], inverse)[0])
+            is_outlier = d2 > scorer["critical"][best]
             ids.append(-1 if is_outlier else best)
             outliers.append(bool(is_outlier))
-            scores.append(d2_out)
+            scores.append(d2)
         else:
             clamped = np.clip(row, 0.0, 1.0)
             bits = rssc.membership_bits(clamped)

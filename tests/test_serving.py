@@ -71,7 +71,7 @@ def _random_model(rng: np.random.Generator, full: bool) -> FittedModel:
     mixture = od_means = od_covs = od_counts = None
     if full:
         k = len(cores)
-        m = int(rng.integers(1, 4))
+        m = int(rng.integers(1, D + 1))
         attrs = tuple(
             int(a) for a in np.sort(rng.choice(D, size=m, replace=False))
         )
@@ -149,9 +149,9 @@ class TestScorerOracle:
 
     def test_nonfinite_on_irrelevant_attribute_is_ignored(self, rng) -> None:
         model = _random_model(rng, full=True)
+        while len(model.relevant_attributes) == D:
+            model = _random_model(rng, full=True)
         irrelevant = sorted(set(range(D)) - set(model.relevant_attributes))
-        if not irrelevant:
-            pytest.skip("model happens to use every attribute")
         batch = np.full((1, D), 0.5)
         batch[0, irrelevant[0]] = np.nan
         result = model.assign(batch)
@@ -170,15 +170,43 @@ class TestScorerOracle:
             model.assign(np.zeros((4, D + 1)))
 
     def test_full_assignment_matches_mixture_argmax(self, rng) -> None:
-        """Pre-verdict component choice agrees with GaussianMixture.assign
-        (the serving scorer recomputes the log-joint row-stably but must
-        stay mathematically identical)."""
+        """Pre-verdict component choice is GaussianMixture.assign's: the
+        scorer picks components through the mixture itself, so the fit's
+        MVB membership and the served labels cannot drift apart."""
         model = _random_model(rng, full=True)
         batch = np.clip(rng.uniform(0, 1, size=(200, D)), 0, 1)
         result = model.assign(batch)
         expected = model.mixture.assign(model.mixture.project(batch))
         chosen = result.cluster_ids[result.cluster_ids >= 0]
         assert np.array_equal(chosen, expected[result.cluster_ids >= 0])
+
+    def test_indefinite_outlier_covariance_scores_nonnegative(self, rng) -> None:
+        """An MVB covariance that is indefinite by rounding (as a registry
+        ``arrays.npz`` may carry) goes through the Cholesky ridge: the
+        squared distances stay non-negative, batch and scalar alike."""
+        mixture = GaussianMixture(
+            means=np.array([[0.3, 0.3], [0.7, 0.7]]),
+            covariances=np.stack([0.01 * np.eye(2)] * 2),
+            weights=np.array([0.5, 0.5]),
+            attributes=(0, 1),
+        )
+        indefinite = 0.01 * np.array([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]])
+        model = FittedModel(
+            algorithm="mr",
+            cores=_random_cores(rng, 2),
+            mixture=mixture,
+            od_means=mixture.means,
+            od_covariances=np.stack([indefinite] * 2),
+            od_counts=np.array([400.0, 400.0]),
+            outlier_alpha=0.001,
+            num_bins=20,
+            n_points=800,
+            n_dims=D,
+        )
+        batch = rng.uniform(0.0, 1.0, size=(300, D))
+        result = model.assign(batch)
+        assert (result.scores >= 0).all()
+        _assert_bitwise_equal(result, reference_assign(model, batch))
 
 
 class TestRegistry:

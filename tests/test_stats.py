@@ -12,6 +12,7 @@ from repro.core.stats import (
     chi2_critical_value,
     chi_squared_uniformity_pvalue,
     cohens_d_cc,
+    inverse_cholesky,
     is_uniform,
     mahalanobis_squared,
     poisson_deviation_significant,
@@ -19,6 +20,7 @@ from repro.core.stats import (
     poisson_power_relative_effect,
     poisson_sf,
     probability_exceeds_relative,
+    whitened_squared_norm,
 )
 
 
@@ -155,10 +157,30 @@ class TestMahalanobis:
         assert d2_wide[0] == pytest.approx(1.0)
         assert d2_narrow[0] == pytest.approx(4.0)
 
-    def test_singular_covariance_regularised(self):
-        cov = np.zeros((2, 2))
-        d2 = mahalanobis_squared(np.array([[1.0, 1.0]]), np.zeros(2), cov)
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            np.zeros((2, 2)),
+            np.outer([1.0, 2.0], [1.0, 2.0]),
+            np.cov(np.stack([np.linspace(0.0, 1.0, 50)] * 2)),
+            np.array([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]]),
+            np.diag([1e-3, -1e-18]),
+        ],
+        ids=[
+            "zero",
+            "rank-1",
+            "duplicate-column",
+            "indefinite-by-rounding",
+            "tiny-negative-eigenvalue",
+        ],
+    )
+    def test_singular_covariance_regularised(self, cov):
+        """Covariances that do not factor get the Cholesky ridge; a plain
+        inverse accepts the last two and returns a negative distance."""
+        points = np.array([[1.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
+        d2 = mahalanobis_squared(points, np.zeros(2), cov)
         assert np.isfinite(d2).all()
+        assert (d2 >= 0).all()
 
     def test_critical_value_matches_scipy(self):
         assert chi2_critical_value(5, 0.001) == pytest.approx(
@@ -176,3 +198,33 @@ class TestMahalanobis:
         d2 = mahalanobis_squared(points, np.zeros(4), np.eye(4))
         fraction = (d2 > chi2_critical_value(4, 0.01)).mean()
         assert 0.005 < fraction < 0.02
+
+
+class TestWhiteningKernel:
+    @pytest.mark.parametrize("m", [1, 4, 8, 26])
+    def test_prefix_batches_are_bitwise_equal(self, rng, m):
+        """A point's distance does not depend on the batch it is in."""
+        a = rng.normal(size=(m, m))
+        inverse, _ = inverse_cholesky(a @ a.T + 0.1 * np.eye(m))
+        mean = rng.normal(size=m)
+        points = rng.normal(size=(1000, m))
+        full = whitened_squared_norm(np.ascontiguousarray(points.T), mean, inverse)
+        for rows in (1, 7, 58, 63, 65, 1000):
+            prefix = np.ascontiguousarray(points[:rows].T)
+            assert np.array_equal(
+                whitened_squared_norm(prefix, mean, inverse), full[:rows]
+            )
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_scipy_mahalanobis(self, rng, m):
+        from scipy.spatial.distance import mahalanobis
+
+        a = rng.normal(size=(m, m))
+        cov = a @ a.T + 0.05 * np.eye(m)
+        mean = rng.normal(size=m)
+        points = rng.normal(size=(50, m))
+        precision = np.linalg.inv(cov)
+        expected = [mahalanobis(p, mean, precision) ** 2 for p in points]
+        np.testing.assert_allclose(
+            mahalanobis_squared(points, mean, cov), expected, rtol=1e-12
+        )
