@@ -6,7 +6,7 @@ in :mod:`repro.mr` re-express the exact same computations as MR jobs and
 are tested for equality against these references.
 """
 
-from repro.core.apriori import generate_candidates, join_signatures, maximal_signatures
+from repro.core.apriori import generate_candidates, maximal_signatures
 from repro.core.attribute_inspection import inspect_attributes
 from repro.core.binning import (
     Histogram,
@@ -42,6 +42,7 @@ from repro.core.types import (
     ClusterCore,
     ClusteringResult,
     Interval,
+    IntervalTable,
     ProjectedCluster,
     Signature,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "GaussianMixture",
     "Histogram",
     "Interval",
+    "IntervalTable",
     "MVBEstimate",
     "MVEEstimate",
     "P3C",
@@ -75,7 +77,6 @@ __all__ = [
     "initialize_from_cores",
     "inspect_attributes",
     "interestingness",
-    "join_signatures",
     "mahalanobis_squared",
     "maximal_signatures",
     "minimum_volume_enclosing_ellipsoid",

@@ -1,5 +1,11 @@
 """Apriori-style candidate generation over p-signatures (Algorithm 1).
 
+Core generation runs on integer signatures: a p-signature is an ``int``
+with p interval-id bits set over an
+:class:`~repro.core.types.IntervalTable`, and
+:class:`~repro.core.types.Signature` objects are built only for the
+maximal signatures and the cores.
+
 Two p-signatures join to a (p+1)-signature when they share exactly
 ``p - 1`` intervals and their distinguishing intervals lie on different
 attributes.  The optional Apriori prune additionally requires every
@@ -9,105 +15,101 @@ trading extra candidates for fewer proving jobs).
 
 :func:`generate_candidates` does not scan all ``k (k - 1) / 2`` pairs.
 It files every p-signature under each of its ``p`` subsets of ``p - 1``
-intervals; two distinct signatures are joinable only if they share such
-a bucket, and they share at most one.  Only pairs inside a bucket are
-tried, so the cost follows the number of joins rather than ``k²``.  The
-joins are replayed in pair-index order, which makes the output list,
-order included, that of the all-pairs scan of :func:`join_signatures`.
+intervals, the mask with one bit cleared; two distinct signatures are
+joinable only if they share such a bucket, and they share at most one.
+Only pairs inside a bucket are tried, so the cost follows the number of
+joins rather than ``k²``.  The joins are replayed in pair-index order,
+which makes the output list, order included, that of the all-pairs
+scan.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.core.types import Interval, Signature
-
-
-def join_signatures(first: Signature, second: Signature) -> Signature | None:
-    """Join two equal-size signatures sharing all but one interval.
-
-    Returns ``None`` when the pair is not joinable (different sizes,
-    fewer than ``p - 1`` common intervals, or the two odd intervals
-    share an attribute).
-    """
-    if len(first) != len(second):
-        return None
-    set_a, set_b = set(first.intervals), set(second.intervals)
-    only_a = set_a - set_b
-    only_b = set_b - set_a
-    if len(only_a) != 1 or len(only_b) != 1:
-        return None
-    (interval_a,) = only_a
-    (interval_b,) = only_b
-    if interval_a.attribute == interval_b.attribute:
-        return None
-    return Signature(first.intervals + (interval_b,))
+from repro.core.redundancy import filter_redundant
+from repro.core.types import ClusterCore, IntervalTable, mask_ids
 
 
 def generate_candidates(
-    signatures: Sequence[Signature],
+    signatures: Sequence[int],
+    table: IntervalTable,
     prune: bool = False,
-) -> list[Signature]:
+) -> list[int]:
     """All (p+1)-signatures obtainable by joining pairs from
-    ``signatures``, deduplicated, in deterministic order: each candidate
-    sits where its first joining pair ``(i, j)``, ``i < j``, falls in
-    row-major pair order.
+    ``signatures`` (masks over ``table``), deduplicated, in
+    deterministic order: each candidate sits where its first joining
+    pair ``(i, j)``, ``i < j``, falls in row-major pair order.
 
     With ``prune=True``, a candidate survives only if *all* of its
     p-subsignatures are in the generating set (classic Apriori
     downward-closure prune).
     """
-    buckets: dict[tuple[Interval, ...], list[tuple[int, Interval]]] = {}
-    for i, sig in enumerate(signatures):
-        intervals = sig.intervals
-        for x, odd in enumerate(intervals):
-            # The key's length fixes p: sizes never share a bucket.
-            key = intervals[:x] + intervals[x + 1 :]
-            buckets.setdefault(key, []).append((i, odd))
-    joins: list[tuple[int, int, Interval]] = []
+    attributes = table.attributes
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    for i, mask in enumerate(signatures):
+        for k in mask_ids(mask):
+            # The key's bit count fixes p: sizes never share a bucket.
+            buckets.setdefault(mask ^ (1 << k), []).append((i, k, attributes[k]))
+    joins: list[tuple[int, int, int]] = []
     for members in buckets.values():
-        for a, (i, odd_i) in enumerate(members):
-            for j, odd_j in members[a + 1 :]:
+        for a, (i, _, attribute_i) in enumerate(members):
+            for j, odd_j, attribute_j in members[a + 1 :]:
                 # Equal odd attributes also skip duplicate signatures,
                 # whose odd intervals in a shared bucket are the same.
-                if odd_i.attribute != odd_j.attribute:
+                if attribute_i != attribute_j:
                     joins.append((i, j, odd_j))
     joins.sort()  # (i, j) is unique per join: pair-index order
 
-    seen: set[Signature] = set()
-    candidates: list[Signature] = []
+    seen: set[int] = set()
+    candidates: list[int] = []
     universe = set(signatures)
     for i, _, odd_j in joins:
-        joined = Signature(signatures[i].intervals + (odd_j,))
+        joined = signatures[i] | (1 << odd_j)
         if joined in seen:
             continue
         seen.add(joined)
-        if prune and not _all_subsignatures_present(joined, universe):
+        if prune and not all(
+            (joined ^ (1 << k)) in universe for k in mask_ids(joined)
+        ):
             continue
         candidates.append(joined)
     return candidates
 
 
-def _all_subsignatures_present(
-    candidate: Signature, universe: set[Signature]
-) -> bool:
-    for interval in candidate:
-        if candidate.without(interval) not in universe:
-            return False
-    return True
-
-
-def singleton_signatures(intervals: Iterable[Interval]) -> list[Signature]:
-    """``Cand_1`` — one 1-signature per relevant interval."""
-    return [Signature((interval,)) for interval in intervals]
-
-
-def maximal_signatures(signatures: Sequence[Signature]) -> list[Signature]:
+def maximal_signatures(signatures: Iterable[int]) -> list[int]:
     """Keep only signatures not properly contained in another one
     (the ``Filter maximal Cluster Cores`` step, Algorithm 1 line 11)."""
-    result: list[Signature] = []
-    by_size = sorted(dict.fromkeys(signatures), key=len, reverse=True)
-    for sig in by_size:
-        if not any(sig.is_proper_subset(kept) for kept in result):
-            result.append(sig)
+    result: list[int] = []
+    by_size = sorted(dict.fromkeys(signatures), key=int.bit_count, reverse=True)
+    for mask in by_size:
+        if not any((mask & kept) == mask for kept in result):
+            result.append(mask)
     return result
+
+
+def cluster_cores(
+    table: IntervalTable,
+    proven: Iterable[int],
+    supports: Mapping[int, int | float],
+    n: float,
+    redundancy_filter: bool = True,
+) -> tuple[list[ClusterCore], int]:
+    """The cores of a finished Apriori sweep (Algorithm 1 lines 11-12):
+    the maximal ``proven`` signatures, decoded, less the redundant ones
+    when ``redundancy_filter`` is set, most interesting first.  Also
+    returns how many signatures were maximal."""
+    maximal = {
+        table.decode(sig): supports[sig] for sig in maximal_signatures(proven)
+    }
+    kept = filter_redundant(maximal, n) if redundancy_filter else list(maximal)
+    cores = [
+        ClusterCore(
+            signature=sig,
+            support=maximal[sig],
+            expected_support=sig.expected_support(n),
+        )
+        for sig in kept
+    ]
+    cores.sort(key=lambda c: (-c.interestingness, c.signature.intervals))
+    return cores, len(maximal)

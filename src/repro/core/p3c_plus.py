@@ -24,11 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.apriori import (
-    generate_candidates,
-    maximal_signatures,
-    singleton_signatures,
-)
+from repro.core.apriori import cluster_cores, generate_candidates
 from repro.core.attribute_inspection import inspect_attributes
 from repro.core.binning import (
     build_all_histograms,
@@ -42,14 +38,14 @@ from repro.core.outliers import (
     detect_outliers_mve,
     detect_outliers_naive,
 )
-from repro.core.proving import SupportTester, count_supports
-from repro.core.redundancy import filter_redundant
+from repro.core.proving import SupportTester
 from repro.core.tightening import tighten_intervals
 from repro.core.types import (
     ClusterCore,
     ClusteringResult,
+    IntervalTable,
     ProjectedCluster,
-    Signature,
+    mask_ids,
 )
 
 
@@ -127,13 +123,21 @@ def generate_cluster_cores(
         diagnostics.update(cores_before_redundancy=0, cores_after_redundancy=0)
         return [], diagnostics
 
-    tester = SupportTester(n, alpha=config.poisson_alpha, theta_cc=config.theta_cc)
-    all_supports: dict[Signature, int] = {}
-    proven_all: list[Signature] = []
+    # Signatures are id masks over the interval table until the cores.
+    table = IntervalTable(intervals)
+    inside = [iv.contains_column(data[:, iv.attribute]) for iv in table.intervals]
+    tester = SupportTester(
+        table, n, alpha=config.poisson_alpha, theta_cc=config.theta_cc
+    )
+    all_supports: dict[int, int] = {}
+    proven_all: list[int] = []
 
-    level = singleton_signatures(intervals)
+    level = [table.encode([interval]) for interval in intervals]
     while level:
-        supports = count_supports(data, level)
+        supports = {
+            sig: int(np.logical_and.reduce([inside[k] for k in mask_ids(sig)]).sum())
+            for sig in level
+        }
         all_supports.update(supports)
         proven = tester.prove(
             level, supports, known=all_supports, proven_set=proven_all
@@ -143,27 +147,13 @@ def generate_cluster_cores(
         proven_all.extend(proven_sigs)
         if not proven_sigs:
             break
-        level = generate_candidates(proven_sigs, prune=config.apriori_prune)
+        level = generate_candidates(proven_sigs, table, prune=config.apriori_prune)
         level = [sig for sig in level if sig not in all_supports]
 
-    maximal = maximal_signatures(proven_all)
-    diagnostics["cores_before_redundancy"] = len(maximal)
-
-    if config.redundancy_filter:
-        maximal = filter_redundant(
-            {sig: all_supports[sig] for sig in maximal}, n
-        )
-    diagnostics["cores_after_redundancy"] = len(maximal)
-
-    cores = [
-        ClusterCore(
-            signature=sig,
-            support=all_supports[sig],
-            expected_support=sig.expected_support(n),
-        )
-        for sig in maximal
-    ]
-    cores.sort(key=lambda c: (-c.interestingness, c.signature.intervals))
+    cores, diagnostics["cores_before_redundancy"] = cluster_cores(
+        table, proven_all, all_supports, n, config.redundancy_filter
+    )
+    diagnostics["cores_after_redundancy"] = len(cores)
     return cores, diagnostics
 
 

@@ -20,19 +20,20 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.stats import cohens_d_cc, poisson_deviation_significant
-from repro.core.types import Signature
+from repro.core.types import IntervalTable, Signature, mask_ids
 
 
 @dataclass(frozen=True)
 class ProvenSignature:
-    """A signature that passed the support test, with its support."""
+    """A signature (an id mask over the tester's table) that passed the
+    support test, with its support."""
 
-    signature: Signature
-    support: int
+    signature: int
+    support: int | float
 
     @property
     def p(self) -> int:
-        return len(self.signature)
+        return self.signature.bit_count()
 
 
 @dataclass
@@ -86,8 +87,14 @@ def count_supports(
 class SupportTester:
     """Evaluates Eq. 1 (+ effect size) given known subsignature supports.
 
+    Signatures are id masks over ``table``; a parent is the mask with
+    one bit cleared, and supports are keyed by mask.
+
     Parameters
     ----------
+    table:
+        The interval table the signatures are coded over; it supplies
+        the interval widths.
     n:
         Database size (support of the empty signature).
     alpha:
@@ -99,49 +106,35 @@ class SupportTester:
 
     def __init__(
         self,
+        table: IntervalTable,
         n: int,
         alpha: float = 0.01,
         theta_cc: float | None = 0.35,
     ) -> None:
         if n < 1:
             raise ValueError(f"database size must be >= 1, got {n}")
+        self.widths = table.widths
         self.n = n
         self.alpha = alpha
         self.theta_cc = theta_cc
 
-    def parent_support(
-        self,
-        signature: Signature,
-        known: Mapping[Signature, int],
-    ) -> dict[Signature, int]:
-        """Supports of all (p-1)-parents of ``signature`` from ``known``;
-        the empty parent of a 1-signature has support ``n``."""
-        parents: dict[Signature, int] = {}
-        for interval in signature:
-            parent = signature.without(interval)
-            if len(parent) == 0:
-                parents[parent] = self.n
-            elif parent in known:
-                parents[parent] = known[parent]
-            else:
-                raise KeyError(
-                    f"support of parent {parent!r} unknown; prove / count "
-                    "candidates level by level"
-                )
-        return parents
-
     def evaluate(
         self,
-        signature: Signature,
-        support: int,
-        known: Mapping[Signature, int],
+        signature: int,
+        support: int | float,
+        known: Mapping[int, int | float],
     ) -> str | None:
         """Eq. 1 verdict: ``None`` when proven, otherwise the name of
-        the first failing test (``"poisson"`` / ``"effect_size"``)."""
-        for interval in signature:
-            parent = signature.without(interval)
-            parent_supp = self.n if len(parent) == 0 else known[parent]
-            expected = parent_supp * interval.width
+        the first failing test (``"poisson"`` / ``"effect_size"``).
+
+        Intervals are tested in ascending id order, which is attribute
+        order.  The empty parent of a 1-signature has support ``n``;
+        any other parent missing from ``known`` raises ``KeyError``.
+        """
+        for k in mask_ids(signature):
+            parent = signature ^ (1 << k)
+            parent_supp = known[parent] if parent else self.n
+            expected = parent_supp * self.widths[k]
             if not poisson_deviation_significant(support, expected, self.alpha):
                 return "poisson"
             if self.theta_cc is not None:
@@ -149,22 +142,12 @@ class SupportTester:
                     return "effect_size"
         return None
 
-    def passes(
-        self,
-        signature: Signature,
-        support: int,
-        known: Mapping[Signature, int],
-    ) -> bool:
-        """Eq. 1: every leave-one-out expectation must be significantly
-        (and, for P3C+, relevantly) exceeded."""
-        return self.evaluate(signature, support, known) is None
-
     def prove(
         self,
-        candidates: Iterable[Signature],
-        supports: Mapping[Signature, int],
-        known: Mapping[Signature, int] | None = None,
-        proven_set: Iterable[Signature] | None = None,
+        candidates: Iterable[int],
+        supports: Mapping[int, int | float],
+        known: Mapping[int, int | float] | None = None,
+        proven_set: Iterable[int] | None = None,
         stats: ProveStats | None = None,
     ) -> list[ProvenSignature]:
         """Prove a batch of candidates whose supports were counted.
@@ -184,19 +167,17 @@ class SupportTester:
         ``stats``, when given, accumulates where each candidate went
         (proven, or the first test it failed).
         """
-        merged: dict[Signature, int] = dict(known or {})
+        merged: dict[int, int | float] = dict(known or {})
         merged.update(supports)
-        accepted: set[Signature] = set(proven_set or ())
+        # The empty signature, mask 0, is the parent of every
+        # 1-signature; its support is n.
+        accepted: set[int] = {0, *(proven_set or ())}
         proven: list[ProvenSignature] = []
-        for sig in sorted(candidates, key=len):
+        for sig in sorted(candidates, key=int.bit_count):
             support = supports[sig]
             if stats is not None:
                 stats.candidates += 1
-            parents_proven = all(
-                len(parent := sig.without(interval)) == 0 or parent in accepted
-                for interval in sig
-            )
-            if not parents_proven:
+            if not all((sig ^ (1 << k)) in accepted for k in mask_ids(sig)):
                 if stats is not None:
                     stats.rejected_unproven_parent += 1
                 continue

@@ -3,6 +3,8 @@
 - :class:`Interval` — a closed range on one attribute (Definition 1).
 - :class:`Signature` — a p-signature: intervals on pairwise-disjoint
   attributes (Definition 2).
+- :class:`IntervalTable` — the integer coding core generation runs on:
+  a p-signature as an ``int`` with p interval-id bits set.
 - :class:`ClusterCore` — a proven, maximal signature with its measured
   and expected support (Definition 5).
 - :class:`ProjectedCluster` — a set of member points plus a set of
@@ -19,7 +21,7 @@ the pipeline entry points, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -195,6 +197,47 @@ class Signature:
     def expected_support(self, n: int) -> float:
         """``Supp_exp(S)`` under global uniformity (Eq. 7)."""
         return n * self.volume()
+
+
+class IntervalTable:
+    """Integer coding of the signatures over one set of intervals.
+
+    The distinct intervals sit in ``Interval`` order (attribute, lower,
+    upper); an interval's id is its position, and a p-signature is an
+    ``int`` with the bits of its p interval ids set.  A signature has at
+    most one interval per attribute, so its ascending ids are ascending
+    attributes: the order a :class:`Signature` iterates in.  Python ints
+    have no fixed width, so any number of intervals fits.
+    """
+
+    def __init__(self, intervals: Iterable[Interval]) -> None:
+        self.intervals: tuple[Interval, ...] = tuple(sorted(set(intervals)))
+        self.attributes = [iv.attribute for iv in self.intervals]
+        self.widths = [iv.width for iv in self.intervals]
+        self._ids = {iv: k for k, iv in enumerate(self.intervals)}
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+    def encode(self, intervals: Iterable[Interval]) -> int:
+        """The mask of a signature (or of any of the table's intervals)."""
+        mask = 0
+        for interval in intervals:
+            mask |= 1 << self._ids[interval]
+        return mask
+
+    def decode(self, mask: int) -> Signature:
+        return Signature([self.intervals[k] for k in mask_ids(mask)])
+
+
+def mask_ids(mask: int) -> list[int]:
+    """The ids of the bits set in ``mask``, ascending."""
+    ids: list[int] = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 @dataclass(frozen=True)

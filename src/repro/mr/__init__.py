@@ -3,11 +3,10 @@
 Each module maps onto one subsection of Section 5:
 
 - :mod:`repro.mr.histogram`    — 5.1 histogram building,
-- :mod:`repro.mr.candidates`   — 5.3 parallel candidate generation,
 - :mod:`repro.mr.rssc`         — 5.3 Rapid Signature Support Counter,
 - :mod:`repro.mr.support`      — 5.3 candidate proving job,
 - :mod:`repro.mr.core_generation` — Algorithm 1 with the multi-level
-  candidate-collection heuristic,
+  candidate-collection heuristic (candidates are joined in the driver),
 - :mod:`repro.mr.em_jobs`      — 5.4 EM, one fused MR job per iteration
   (the paper's sums + covariance pair in one centred pass),
 - :mod:`repro.mr.outlier_jobs` — 5.5 OD job (the serving scorer's

@@ -1,9 +1,12 @@
 """Cluster-core generation in MapReduce (Algorithm 1 + Section 5.3).
 
-Combines:
+Runs on integer signatures over one
+:class:`~repro.core.types.IntervalTable` of the relevant intervals; only
+the maximal signatures and the cores become
+:class:`~repro.core.types.Signature` objects.  Combines:
 
-- :func:`repro.mr.candidates.run_candidate_generation` (serial or
-  parallel Apriori joins),
+- :func:`repro.core.apriori.generate_candidates`, the driver's
+  output-linear Apriori join,
 - the **multi-level candidate collection** heuristic: candidates are
   *collected* across levels without proving — level ``j+1`` is generated
   from ``Cand_j`` instead of ``Proven_j`` — until
@@ -14,7 +17,8 @@ Combines:
   (saving per-level job overhead at the price of weaker Apriori
   pruning),
 - :func:`repro.mr.support.run_support_job` (RSSC-based proving),
-- the maximality filter and (for P3C+) the redundancy filter.
+- :func:`repro.core.apriori.cluster_cores`: the maximality filter and
+  (for P3C+) the redundancy filter.
 
 Because a collected batch always contains every ancestor of its
 candidates down to the last proven level, the Eq. 1 parent supports
@@ -28,13 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.apriori import maximal_signatures, singleton_signatures
+from repro.core.apriori import cluster_cores, generate_candidates
 from repro.core.proving import ProveStats, SupportTester
-from repro.core.redundancy import filter_redundant
-from repro.core.types import ClusterCore, Interval, Signature
+from repro.core.types import ClusterCore, Interval, IntervalTable
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
-from repro.mr.candidates import DEFAULT_T_GEN, run_candidate_generation
 from repro.mr.support import run_support_job
 from repro.mr.weights import canonical_weights
 from repro.obs import NULL_OBS, Observability
@@ -72,7 +74,6 @@ def generate_cluster_cores_mr(
     poisson_alpha: float = 0.01,
     theta_cc: float | None = 0.35,
     redundancy_filter: bool = True,
-    t_gen: int = DEFAULT_T_GEN,
     t_c: int = DEFAULT_T_C,
     multi_level: bool = True,
     obs: Observability | None = None,
@@ -110,15 +111,18 @@ def generate_cluster_cores_mr(
         support_scale = 1.0
         n_test = n
 
-    tester = SupportTester(n_test, alpha=poisson_alpha, theta_cc=theta_cc)
-    all_supports: dict[Signature, int] = {}
-    proven_all: list[Signature] = []
+    table = IntervalTable(intervals)
+    tester = SupportTester(table, n_test, alpha=poisson_alpha, theta_cc=theta_cc)
+    all_supports: dict[int, int | float] = {}
+    proven_all: list[int] = []
 
-    def prove_batch(batch: list[Signature]) -> list[Signature]:
+    def prove_batch(batch: list[int]) -> list[int]:
         """Count + prove one collected batch with a single support job."""
         stats.proving_jobs += 1
         stats.candidates_proven_total += len(batch)
-        supports = run_support_job(chain, splits, batch, weights=weights)
+        supports = run_support_job(
+            chain, splits, batch, weights=weights, table=table
+        )
         if weights is not None:
             supports = {sig: s * support_scale for sig, s in supports.items()}
         all_supports.update(supports)
@@ -136,18 +140,18 @@ def generate_cluster_cores_mr(
         return proven_sigs
 
     # Level 1 is always proven on its own (Algorithm 1 line 3).
-    level = singleton_signatures(intervals)
+    level = [table.encode([interval]) for interval in intervals]
     stats.candidates_per_level.append(len(level))
     proven_level = prove_batch(level)
 
     generation_base = proven_level
-    pending: list[Signature] = []
-    pending_set: set[Signature] = set()
+    pending: list[int] = []
+    pending_set: set[int] = set()
     previous_count = len(level)
     c_sum = 0
 
     while generation_base:
-        candidates = run_candidate_generation(chain, generation_base, t_gen=t_gen)
+        candidates = generate_candidates(generation_base, table)
         candidates = [
             sig
             for sig in candidates
@@ -171,8 +175,10 @@ def generate_cluster_cores_mr(
             proven_batch = prove_batch(pending)
             # Continue generation from the proven signatures of the
             # deepest collected level only.
-            top_size = max((len(sig) for sig in pending), default=0)
-            generation_base = [sig for sig in proven_batch if len(sig) == top_size]
+            top_size = max(sig.bit_count() for sig in pending)
+            generation_base = [
+                sig for sig in proven_batch if sig.bit_count() == top_size
+            ]
             pending = []
             pending_set = set()
             c_sum = 0
@@ -181,13 +187,10 @@ def generate_cluster_cores_mr(
             # (unproven) candidates of this one.
             generation_base = candidates
 
-    maximal = maximal_signatures(proven_all)
-    stats.cores_before_redundancy = len(maximal)
-    if redundancy_filter:
-        maximal = filter_redundant(
-            {sig: all_supports[sig] for sig in maximal}, n_test
-        )
-    stats.cores_after_redundancy = len(maximal)
+    cores, stats.cores_before_redundancy = cluster_cores(
+        table, proven_all, all_supports, n_test, redundancy_filter
+    )
+    stats.cores_after_redundancy = len(cores)
 
     for level, count in enumerate(stats.candidates_per_level, start=1):
         obs.record("apriori.candidates_per_level", count)
@@ -202,13 +205,4 @@ def generate_cluster_cores_mr(
     obs.gauge("cores.maximal", stats.cores_before_redundancy)
     obs.gauge("cores.final", stats.cores_after_redundancy)
 
-    cores = [
-        ClusterCore(
-            signature=sig,
-            support=all_supports[sig],
-            expected_support=sig.expected_support(n_test),
-        )
-        for sig in maximal
-    ]
-    cores.sort(key=lambda c: (-c.interestingness, c.signature.intervals))
     return cores, stats

@@ -4,7 +4,6 @@ Job plan (one line per MR job):
 
 1.  histogram building                                 (Section 5.1)
 2.  candidate proving, one job per collected batch     (Section 5.3)
-    + candidate-generation jobs when pairs exceed T_gen
 3.  EM initialisation: 2 fused moment jobs             (Section 5.4)
 4.  EM iterations: 1 fused moment job each             (Section 5.4)
 5.  MVB centre/radius + 1 fused moment job (MVB only)  (Section 5.5)
@@ -42,7 +41,6 @@ from repro.mapreduce import (
     new_run_id,
 )
 from repro.mapreduce.types import InputSplit, split_records
-from repro.mr.candidates import DEFAULT_T_GEN
 from repro.mr.core_generation import DEFAULT_T_C, generate_cluster_cores_mr
 from repro.mr.coreset import build_coreset, run_assign_job
 from repro.mr.em_jobs import run_em_mr
@@ -81,7 +79,6 @@ class P3CPlusMRConfig:
     #: Executor backend ("serial"/"thread"/"process"); ``None`` keeps
     #: the auto rule: max_workers > 1 selects the process pool.
     executor: str | None = None
-    t_gen: int = DEFAULT_T_GEN
     t_c: int = DEFAULT_T_C
     multi_level: bool = True
     #: Deterministic fault-injection schedule (chaos testing); ``None``
@@ -243,7 +240,6 @@ class P3CPlusMR:
                 poisson_alpha=self.config.poisson_alpha,
                 theta_cc=self.config.theta_cc,
                 redundancy_filter=self.config.redundancy_filter,
-                t_gen=self.mr_config.t_gen,
                 t_c=self.mr_config.t_c,
                 multi_level=self.mr_config.multi_level,
                 obs=obs,

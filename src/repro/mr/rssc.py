@@ -40,11 +40,11 @@ clamped to the boundary in every path, so a ``1.0 + 1e-12`` counts as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.types import Signature
+from repro.core.types import IntervalTable, Signature, mask_ids
 
 _WORD_BITS = 64
 #: Elements of one candidate slice (packed words; unpacked floats in
@@ -81,27 +81,43 @@ class _AttributeBinning:
 class RSSC:
     """Bitmap support counter over a fixed candidate set."""
 
-    def __init__(self, signatures: list[Signature]) -> None:
+    def __init__(
+        self,
+        signatures: Sequence[Signature] | Sequence[int],
+        table: IntervalTable | None = None,
+    ) -> None:
+        """``signatures`` are :class:`Signature` objects, or, with
+        ``table``, id masks over that table (core generation's form)."""
         self.signatures = list(signatures)
-        # Interval table: the distinct intervals sorted by attribute, so
-        # each attribute's intervals occupy one contiguous id range.
-        intervals = sorted({iv for sig in self.signatures for iv in sig})
-        ids = {iv: k for k, iv in enumerate(intervals)}
-        self._lowers = np.array([iv.lower for iv in intervals]).reshape(-1, 1)
-        self._uppers = np.array([iv.upper for iv in intervals]).reshape(-1, 1)
+        if table is None:
+            table = IntervalTable(iv for sig in self.signatures for iv in sig)
+            masks = [table.encode(sig) for sig in self.signatures]
+        else:
+            masks = self.signatures
+        # Interval table: the distinct intervals of the candidate set,
+        # in table order, so each attribute's intervals occupy one
+        # contiguous row range.
+        used = 0
+        for mask in masks:
+            used |= mask
+        ids = mask_ids(used)
+        row = {k: r for r, k in enumerate(ids)}
+        self._intervals = tuple(table.intervals[k] for k in ids)
+        self._lowers = np.array([iv.lower for iv in self._intervals]).reshape(-1, 1)
+        self._uppers = np.array([iv.upper for iv in self._intervals]).reshape(-1, 1)
         attributes, starts = np.unique(
-            [iv.attribute for iv in intervals], return_index=True
+            [iv.attribute for iv in self._intervals], return_index=True
         )
-        stops = np.append(starts[1:], len(intervals))
+        stops = np.append(starts[1:], len(ids))
         self._columns = tuple(
             zip(attributes.tolist(), starts.tolist(), stops.tolist())
         )
-        # Each candidate's interval ids, grouped by signature size.
+        # Each candidate's interval rows, grouped by signature size.
         by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
-        for j, sig in enumerate(self.signatures):
-            positions, rows = by_size.setdefault(len(sig), ([], []))
+        for j, mask in enumerate(masks):
+            positions, rows = by_size.setdefault(mask.bit_count(), ([], []))
             positions.append(j)
-            rows.append([ids[iv] for iv in sig])
+            rows.append([row[k] for k in mask_ids(mask)])
         self._groups = tuple(
             (np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp))
             for _, (positions, rows) in sorted(by_size.items())
@@ -257,11 +273,13 @@ class RSSC:
 
     def _build_binnings(self) -> list[_AttributeBinning]:
         by_attr: dict[int, list[tuple[int, float, float]]] = {}
-        for j, sig in enumerate(self.signatures):
-            for interval in sig:
-                by_attr.setdefault(interval.attribute, []).append(
-                    (j, interval.lower, interval.upper)
-                )
+        for positions, rows in self._groups:
+            for j, candidate_rows in zip(positions.tolist(), rows.tolist()):
+                for r in candidate_rows:
+                    interval = self._intervals[r]
+                    by_attr.setdefault(interval.attribute, []).append(
+                        (j, interval.lower, interval.upper)
+                    )
         binnings: list[_AttributeBinning] = []
         for attribute in sorted(by_attr):
             entries = by_attr[attribute]

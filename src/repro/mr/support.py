@@ -2,11 +2,12 @@
 
 One MR job counts the supports of an arbitrary candidate batch.  The
 driver builds the RSSC's interval table once (the batch's distinct
-intervals and each candidate's interval ids) and ships it in the
-distributed cache; every mapper packs one bitmap per distinct interval
-over its split's points, accumulates a per-split count vector from the
-ANDs of those bitmaps, and emits it once from cleanup.  The single
-reducer sums the per-split vectors.
+intervals and each candidate's interval ids, read off its id mask
+during core generation) and ships it in the distributed cache; every
+mapper packs one bitmap per distinct interval over its split's points,
+accumulates a per-split count vector from the ANDs of those bitmaps,
+and emits it once from cleanup.  The single reducer sums the per-split
+vectors.
 
 With per-point weights (the coreset fast path) the mapper runs the
 weighted RSSC kernel instead — each point contributes its weight to
@@ -21,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.types import Signature
+from repro.core.types import IntervalTable, Signature
 from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.job import ArraySumCombiner
 from repro.mapreduce.chain import JobChain
@@ -62,16 +63,19 @@ class SupportSumReducer(Reducer):
 def run_support_job(
     chain: JobChain,
     splits: list[InputSplit],
-    candidates: list[Signature],
+    candidates: list[Signature] | list[int],
     step_name: str = "candidate_proving",
     weights: np.ndarray | None = None,
-) -> dict[Signature, int | float]:
+    table: IntervalTable | None = None,
+) -> dict[Any, int | float]:
     """Count (optionally weighted) supports of ``candidates`` with one
-    MR job.  Unweighted supports are ints; weighted supports floats."""
+    MR job, keyed by candidate.  The candidates are signatures, or, with
+    ``table``, id masks over it.  Unweighted supports are ints; weighted
+    supports floats."""
     if not candidates:
         return {}
     weights = canonical_weights(weights)
-    rssc = RSSC(candidates)
+    rssc = RSSC(candidates, table)
     cache: dict[str, Any] = {"rssc": rssc}
     if weights is not None:
         cache["point_weights"] = weights

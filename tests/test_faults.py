@@ -325,7 +325,14 @@ class TestTaskTimeouts:
         assert pids["first"].isdisjoint(pids["second"])
         for child in multiprocessing.active_children():
             if child.pid not in before:
+                deadline = time.monotonic() + 5
                 child.join(timeout=5)
+                # The retired pool's manager thread joins its workers too.
+                # When it reaps this one first, join() returns before that
+                # thread has stored the exit code, and is_alive() still
+                # reads True for a moment.
+                while child.is_alive() and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 assert not child.is_alive()
 
     def test_permanent_straggler_exhausts_attempts(self):

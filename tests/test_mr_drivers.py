@@ -10,11 +10,20 @@ The MR formulation is *exact* (the paper's headline claim), so:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from repro.core.p3c_plus import P3CPlus, P3CPlusConfig, P3CPlusLight
+from repro.core.p3c_plus import (
+    P3CPlus,
+    P3CPlusConfig,
+    P3CPlusLight,
+    generate_cluster_cores,
+)
+from repro.data import GeneratorConfig, generate_synthetic
 from repro.eval import e4sc_score
+from repro.mapreduce.types import split_records
 from repro.mr import P3CPlusMR, P3CPlusMRConfig, P3CPlusMRLight
 
 
@@ -77,6 +86,49 @@ class TestLightEquivalence:
             1 for s in collected.chain.steps if s.name == "candidate_proving"
         )
         assert collected_jobs <= per_level_jobs
+
+
+@lru_cache(maxsize=None)
+def _grid_data(clusters: int, noise: float) -> np.ndarray:
+    return generate_synthetic(
+        GeneratorConfig(
+            n=5_000,
+            d=20,
+            num_clusters=clusters,
+            noise_fraction=noise,
+            max_cluster_dims=6,
+            seed=11,
+        )
+    ).data
+
+
+def _mr_core_phase(data: np.ndarray, num_splits: int, multi_level: bool):
+    """The MR driver's own core phase (histogram job, interval
+    detection, core generation), without the stages after it."""
+    driver = P3CPlusMRLight(
+        mr_config=P3CPlusMRConfig(num_splits=num_splits, multi_level=multi_level)
+    )
+    driver._begin_run()
+    with driver._open_chain() as chain:
+        cores, _ = driver._run_core_phase(
+            split_records(data, num_splits), len(data), chain
+        )
+    return cores
+
+
+class TestCorePhaseParity:
+    """Serial P3C+ and P3C+-MR find the same cores: the same intervals,
+    supports and expected supports, in the same order."""
+
+    @pytest.mark.parametrize("multi_level", [True, False])
+    @pytest.mark.parametrize("num_splits", [1, 7])
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    @pytest.mark.parametrize("clusters", [3, 5, 7])
+    def test_same_cores(self, clusters, noise, num_splits, multi_level):
+        data = _grid_data(clusters, noise)
+        serial, _ = generate_cluster_cores(data, P3CPlusConfig())
+        assert serial
+        assert _mr_core_phase(data, num_splits, multi_level) == serial
 
 
 class TestFullEquivalence:

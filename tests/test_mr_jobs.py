@@ -12,8 +12,6 @@ from repro.core.proving import count_supports
 from repro.core.types import ClusterCore, Interval, Signature
 from repro.mapreduce import JobChain, MapReduceRuntime
 from repro.mapreduce.types import split_records
-from repro.mr.candidates import pair_from_index, run_candidate_generation
-from repro.core.apriori import generate_candidates, singleton_signatures
 from repro.mr.em_jobs import (
     CoreSupportWeights,
     ResponsibilityWeights,
@@ -77,59 +75,6 @@ class TestSupportJob:
     def test_empty_candidates_no_job(self, tiny_dataset, chain):
         splits = split_records(tiny_dataset.data, 2)
         assert run_support_job(chain, splits, []) == {}
-        assert chain.num_jobs == 0
-
-
-class TestCandidateGeneration:
-    def test_pair_from_index_roundtrip(self):
-        k = 7
-        pairs = [pair_from_index(i, k) for i in range(k * (k - 1) // 2)]
-        assert pairs == [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def test_pair_from_index_validates(self):
-        with pytest.raises(ValueError):
-            pair_from_index(-1, 4)
-        with pytest.raises(ValueError):
-            pair_from_index(6, 4)
-
-    def test_parallel_matches_serial(self, chain):
-        intervals = [Interval(a, 0.0, 0.3) for a in range(10)]
-        singles = singleton_signatures(intervals)
-        serial = generate_candidates(singles, prune=False)
-        parallel = run_candidate_generation(chain, singles, t_gen=5)
-        assert parallel == serial
-        assert chain.num_jobs == 1  # the parallel path actually ran
-
-    def test_parallel_matches_serial_multilevel(self, chain):
-        # 2- and 3-signatures sharing intervals, pairs whose odd
-        # intervals lie on one attribute, and one duplicate.  k = 10
-        # gives 45 pairs; t_gen = 4 cuts them into 11 ranges, most of
-        # which start mid-row of the pair triangle.
-        a0, a0b = Interval(0, 0.0, 0.3), Interval(0, 0.5, 0.8)
-        a1, a1b = Interval(1, 0.0, 0.3), Interval(1, 0.5, 0.8)
-        a2, a3 = Interval(2, 0.1, 0.4), Interval(3, 0.2, 0.6)
-        signatures = [
-            Signature([a0, a1]),
-            Signature([a0, a2]),
-            Signature([a0, a1b]),
-            Signature([a1, a2]),
-            Signature([a0b, a1]),
-            Signature([a0, a1]),
-            Signature([a0, a1, a2]),
-            Signature([a0, a1, a3]),
-            Signature([a0, a2, a3]),
-            Signature([a1b, a2, a3]),
-        ]
-        serial = generate_candidates(signatures, prune=False)
-        assert {len(sig) for sig in serial} == {3, 4}
-        parallel = run_candidate_generation(chain, signatures, t_gen=4)
-        assert parallel == serial
-        assert chain.num_jobs == 1
-
-    def test_small_sets_stay_serial(self, chain):
-        intervals = [Interval(a, 0.0, 0.3) for a in range(4)]
-        singles = singleton_signatures(intervals)
-        run_candidate_generation(chain, singles, t_gen=1_000)
         assert chain.num_jobs == 0
 
 
