@@ -1,7 +1,8 @@
 """Runtime-scaling bench: thread/process executors vs serial.
 
 Times the two dominant P3C+-MR job shapes — the histogram job
-(Section 5.1) and the RSSC support-counting job (Section 5.3) — under
+(Section 5.1) and RSSC support counting (Section 5.3: the level-1 job
+that packs the interval index, then one batch counted over it) — under
 every executor backend, asserts bit-identical outputs, and emits a JSON
 record (``benchmarks/output/runtime_scaling.json``) for the bench
 trajectory: per-executor wall times and speedups vs serial.
@@ -20,12 +21,12 @@ import time
 import numpy as np
 
 from repro.core.intervals import find_relevant_intervals
-from repro.core.types import Signature
+from repro.core.types import IntervalTable, Signature
 from repro.data import GeneratorConfig, generate_synthetic
 from repro.mapreduce import JobChain, MapReduceRuntime
 from repro.mapreduce.types import split_records
 from repro.mr.histogram import run_histogram_job
-from repro.mr.support import run_support_job
+from repro.mr.support import build_interval_index, run_support_job
 from repro.obs import Observability, build_run_report, validate_run_report
 
 from conftest import OUTPUT_DIR
@@ -83,8 +84,11 @@ def test_runtime_scaling(save_exhibit):
 
             if candidates is None:
                 candidates = _candidates(JobChain(MapReduceRuntime()), splits)
+            table = IntervalTable(iv for sig in candidates for iv in sig)
+            masks = [table.encode(sig) for sig in candidates]
             started = time.perf_counter()
-            supports = run_support_job(chain, splits, candidates)
+            _, index = build_interval_index(chain, splits, table)
+            supports = run_support_job(chain, index, masks)
             runtime.close()
             timings["support"][name] = time.perf_counter() - started
 

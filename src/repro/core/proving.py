@@ -15,12 +15,10 @@ P3C 'Poisson only' behaviour used as the baseline in Figure 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from repro.core.stats import cohens_d_cc, poisson_deviation_significant
-from repro.core.types import IntervalTable, Signature, mask_ids
+from repro.core.types import IntervalTable, mask_ids
 
 
 @dataclass(frozen=True)
@@ -70,18 +68,6 @@ class ProveStats:
             "rejected_effect_size": self.rejected_effect_size,
             "rejected_unproven_parent": self.rejected_unproven_parent,
         }
-
-
-def count_supports(
-    data: np.ndarray,
-    signatures: Sequence[Signature],
-) -> dict[Signature, int]:
-    """Exact support of each signature by brute-force mask evaluation.
-
-    The MapReduce path replaces this with the RSSC bitmap counter
-    (:mod:`repro.mr.rssc`); both must agree exactly.
-    """
-    return {sig: sig.support(data) for sig in signatures}
 
 
 class SupportTester:

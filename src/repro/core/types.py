@@ -48,11 +48,19 @@ class Interval:
         return self.upper - self.lower
 
     def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+        """Closed-interval test of ``value`` clamped to [0, 1]."""
+        return bool(self.contains_column(np.asarray(value)))
 
     def contains_column(self, column: np.ndarray) -> np.ndarray:
-        """Vectorised membership test over a 1-D array of values."""
-        return (column >= self.lower) & (column <= self.upper)
+        """Vectorised membership test over a 1-D array of values.
+
+        Values are clamped to [0, 1] first, as the RSSC and
+        ``bin_index`` do, so float drift past a bound at 0 or 1 still
+        counts: such a bound drops its comparison.  Non-finite values
+        are outside."""
+        lower = column >= self.lower if self.lower > 0.0 else column > -np.inf
+        upper = column <= self.upper if self.upper < 1.0 else column < np.inf
+        return lower & upper
 
     def overlaps(self, other: "Interval") -> bool:
         if self.attribute != other.attribute:
@@ -154,29 +162,6 @@ class Signature:
             if iv.attribute == attribute:
                 return iv
         return None
-
-    # -- set algebra -----------------------------------------------------
-
-    def extend(self, interval: Interval) -> "Signature":
-        """``S ∪ {I}`` — add an interval on a new attribute."""
-        if interval.attribute in self.attributes:
-            raise ValueError(
-                f"signature already has an interval on attribute "
-                f"{interval.attribute}"
-            )
-        return Signature(self._intervals + (interval,))
-
-    def without(self, interval: Interval) -> "Signature":
-        """``S \\ {I}``."""
-        if interval not in self._intervals:
-            raise ValueError(f"{interval} not in signature")
-        return Signature(tuple(iv for iv in self._intervals if iv != interval))
-
-    def issubset(self, other: "Signature") -> bool:
-        return set(self._intervals) <= set(other._intervals)
-
-    def is_proper_subset(self, other: "Signature") -> bool:
-        return self.issubset(other) and len(self) < len(other)
 
     # -- support (Definitions 1-2) ---------------------------------------
 

@@ -4,7 +4,8 @@ Each module maps onto one subsection of Section 5:
 
 - :mod:`repro.mr.histogram`    — 5.1 histogram building,
 - :mod:`repro.mr.rssc`         — 5.3 Rapid Signature Support Counter,
-- :mod:`repro.mr.support`      — 5.3 candidate proving job,
+- :mod:`repro.mr.support`      — 5.3 candidate proving jobs over the
+  interval index the level-1 job packs,
 - :mod:`repro.mr.core_generation` — Algorithm 1 with the multi-level
   candidate-collection heuristic (candidates are joined in the driver),
 - :mod:`repro.mr.em_jobs`      — 5.4 EM, one fused MR job per iteration
@@ -14,6 +15,7 @@ Each module maps onto one subsection of Section 5:
 - :mod:`repro.mr.attribute_jobs` — 5.6 attribute inspection,
 - :mod:`repro.mr.tightening_job` — 5.7 interval tightening,
 - :mod:`repro.mr.p3c_mr`       — the full P3C+-MR driver,
+- :mod:`repro.mr.light_jobs`   — the Light membership job (Section 6),
 - :mod:`repro.mr.p3c_mr_light` — the P3C+-MR-Light driver (Section 6).
 """
 

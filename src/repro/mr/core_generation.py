@@ -16,7 +16,9 @@ the maximal signatures and the cores become
   at which point a *single* support job proves the whole collection
   (saving per-level job overhead at the price of weaker Apriori
   pruning),
-- :func:`repro.mr.support.run_support_job` (RSSC-based proving),
+- RSSC-based proving over one interval index (:mod:`repro.mr.support`):
+  the level-1 job packs every point's interval bitmaps once, and each
+  later batch's job ANDs and popcounts them,
 - :func:`repro.core.apriori.cluster_cores`: the maximality filter and
   (for P3C+) the redundancy filter.
 
@@ -37,7 +39,7 @@ from repro.core.proving import ProveStats, SupportTester
 from repro.core.types import ClusterCore, Interval, IntervalTable
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
-from repro.mr.support import run_support_job
+from repro.mr.support import IntervalIndex, build_interval_index, run_support_job
 from repro.mr.weights import canonical_weights
 from repro.obs import NULL_OBS, Observability
 
@@ -79,8 +81,12 @@ def generate_cluster_cores_mr(
     obs: Observability | None = None,
     weights: np.ndarray | None = None,
     effective_n: float | None = None,
-) -> tuple[list[ClusterCore], CoreGenerationStats]:
+) -> tuple[list[ClusterCore], CoreGenerationStats, IntervalIndex | None]:
     """Run Algorithm 1 against the MapReduce runtime.
+
+    Returns the cores, the run's diagnostics and the interval index the
+    level-1 job packed (``None`` without relevant intervals), which the
+    Light driver's membership job reads.
 
     With ``multi_level=False`` every level is proven immediately
     (one support job per level), which is the ablation baseline for the
@@ -97,7 +103,7 @@ def generate_cluster_cores_mr(
     obs = obs or NULL_OBS
     stats = CoreGenerationStats()
     if not intervals:
-        return [], stats
+        return [], stats, None
 
     weights = canonical_weights(weights)
     if weights is not None:
@@ -116,13 +122,12 @@ def generate_cluster_cores_mr(
     all_supports: dict[int, int | float] = {}
     proven_all: list[int] = []
 
-    def prove_batch(batch: list[int]) -> list[int]:
-        """Count + prove one collected batch with a single support job."""
+    def prove_batch(
+        batch: list[int], supports: dict[int, int | float]
+    ) -> list[int]:
+        """Prove one collected batch, counted by a single support job."""
         stats.proving_jobs += 1
         stats.candidates_proven_total += len(batch)
-        supports = run_support_job(
-            chain, splits, batch, weights=weights, table=table
-        )
         if weights is not None:
             supports = {sig: s * support_scale for sig, s in supports.items()}
         all_supports.update(supports)
@@ -139,10 +144,12 @@ def generate_cluster_cores_mr(
         proven_all.extend(proven_sigs)
         return proven_sigs
 
-    # Level 1 is always proven on its own (Algorithm 1 line 3).
+    # Level 1 is always proven on its own (Algorithm 1 line 3); its job
+    # packs the interval index every later batch is counted over.
     level = [table.encode([interval]) for interval in intervals]
     stats.candidates_per_level.append(len(level))
-    proven_level = prove_batch(level)
+    supports, index = build_interval_index(chain, splits, table, weights)
+    proven_level = prove_batch(level, supports)
 
     generation_base = proven_level
     pending: list[int] = []
@@ -172,7 +179,9 @@ def generate_cluster_cores_mr(
         if stop_collecting:
             if not pending:
                 break
-            proven_batch = prove_batch(pending)
+            proven_batch = prove_batch(
+                pending, run_support_job(chain, index, pending, weights)
+            )
             # Continue generation from the proven signatures of the
             # deepest collected level only.
             top_size = max(sig.bit_count() for sig in pending)
@@ -205,4 +214,4 @@ def generate_cluster_cores_mr(
     obs.gauge("cores.maximal", stats.cores_before_redundancy)
     obs.gauge("cores.final", stats.cores_after_redundancy)
 
-    return cores, stats
+    return cores, stats, index

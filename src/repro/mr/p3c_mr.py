@@ -3,7 +3,8 @@
 Job plan (one line per MR job):
 
 1.  histogram building                                 (Section 5.1)
-2.  candidate proving, one job per collected batch     (Section 5.3)
+2.  candidate proving, one job per collected batch;    (Section 5.3)
+    level 1 packs the interval index the others read
 3.  EM initialisation: 2 fused moment jobs             (Section 5.4)
 4.  EM iterations: 1 fused moment job each             (Section 5.4)
 5.  MVB centre/radius + 1 fused moment job (MVB only)  (Section 5.5)
@@ -207,6 +208,9 @@ class P3CPlusMR:
     ):
         """Histogram job + interval detection + cluster-core generation.
 
+        Returns the cores, the diagnostics and the fit's interval index
+        (see :func:`generate_cluster_cores_mr`).
+
         With ``weights`` (the coreset fast path) the histogram counts
         are weighted and rescaled to the effective sample size before
         the chi-squared interval test, and the Poisson/effect-size
@@ -232,7 +236,7 @@ class P3CPlusMR:
             obs.gauge("intervals.attributes", len(histograms))
             obs.gauge("intervals.relevant", len(intervals))
         with obs.stage("core_generation"):
-            cores, stats = generate_cluster_cores_mr(
+            cores, stats, index = generate_cluster_cores_mr(
                 chain,
                 splits,
                 intervals,
@@ -255,7 +259,7 @@ class P3CPlusMR:
             "cores_before_redundancy": stats.cores_before_redundancy,
             "cores_after_redundancy": stats.cores_after_redundancy,
         }
-        return cores, diagnostics
+        return cores, diagnostics, index
 
     def _empty_result(
         self, n: int, d: int, diagnostics: dict, chain: JobChain
@@ -289,7 +293,7 @@ class P3CPlusMR:
             return self._fit_splits_coreset(splits, n, d)
         obs = self._begin_run()
         with obs.run("p3c_plus_mr", n=n, d=d), self._open_chain() as chain:
-            cores, diagnostics = self._run_core_phase(splits, n, chain)
+            cores, diagnostics, _ = self._run_core_phase(splits, n, chain)
             if not cores:
                 return self._empty_result(n, d, diagnostics, chain)
 
@@ -376,7 +380,7 @@ class P3CPlusMR:
             )
             total_weight = summary.total_weight
 
-            cores, diagnostics = self._run_core_phase(
+            cores, diagnostics, _ = self._run_core_phase(
                 summary_splits,
                 max(1, round(ess)),
                 chain,

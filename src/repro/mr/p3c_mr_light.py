@@ -47,7 +47,7 @@ class P3CPlusMRLight(P3CPlusMR):
         """Cluster from pre-built (possibly file-backed) input splits."""
         obs = self._begin_run()
         with obs.run("p3c_plus_mr_light", n=n, d=d), self._open_chain() as chain:
-            cores, diagnostics = self._run_core_phase(splits, n, chain)
+            cores, diagnostics, index = self._run_core_phase(splits, n, chain)
             if not cores:
                 return self._empty_result(n, d, diagnostics, chain)
 
@@ -65,10 +65,11 @@ class P3CPlusMRLight(P3CPlusMR):
             )
 
             # Exclusive membership (m') and the unique output assignment
-            # come from one map-only job (Section 6).
+            # come from one map-only job over the interval index
+            # (Section 6).
             with obs.stage("light_membership"):
                 exclusive, assignment = run_light_membership_job(
-                    chain, splits, signatures, n
+                    chain, index, signatures, n
                 )
                 obs.gauge(
                     "light.exclusive_points", int((exclusive >= 0).sum())

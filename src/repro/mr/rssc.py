@@ -11,21 +11,26 @@ attribute finds its cells and the AND of their masks is the set of
 signatures containing it.
 
 The production kernel runs the same test transposed: its bits index
-points, not signatures.  Per split chunk it packs one bitmap per
-*distinct interval* of the candidate set (bit ``i`` set iff point ``i``
-lies in the closed interval, after the same clip to [0, 1]), ANDs the
-bitmaps of each candidate's intervals and popcounts the result.  Cost
-follows points × candidates / 64 words instead of one unpacked byte per
-point per candidate, and the distinct intervals are few: every
+points, not signatures.  Per chunk of points it packs one bitmap per
+interval of an :class:`~repro.core.types.IntervalTable` (bit ``i`` set
+iff point ``i`` lies in the closed interval, after the same clip to
+[0, 1]), ANDs the bitmaps of each candidate's intervals and popcounts
+the result.  Cost follows points × candidates / 64 words instead of one
+unpacked byte per point per candidate, and the intervals are few: every
 candidate is built from the same relevant intervals.  The counts are
 identical to the per-point form because both evaluate
 ``lower <= value <= upper`` on the same clipped value; a property test
 checks the kernel against the scalar oracle and brute force
 bit-for-bit.
 
-- :meth:`RSSC.add_points` — integer supports of a block;
-- :meth:`RSSC.add_points_weighted` — weighted supports (coreset path);
-- :meth:`RSSC.membership_matrix` — per-point membership (serving).
+- :meth:`RSSC.pack` — the bitmaps of one chunk, rows in table id order;
+- :meth:`RSSC.count` — integer or weighted supports of a packed chunk;
+- :meth:`RSSC.membership` — per-point membership of a packed chunk;
+- :meth:`RSSC.add_points` / :meth:`RSSC.membership_matrix` — the same
+  over a raw block (the latter is the serving scorer).
+
+A fit packs its points once, in the level-1 proving job, and every
+later job ANDs those bitmaps (the interval index, :mod:`repro.mr.support`).
 
 Figure 3's cell masks are built only on demand, for the scalar oracle
 (:meth:`RSSC.add_point`, :meth:`RSSC.membership_bits`) with
@@ -51,6 +56,9 @@ _WORD_BITS = 64
 #: the weighted kernel): bounds the kernel's transient memory whatever
 #: the chunk's row count and the batch's candidate count.
 _SLICE_WORDS = 1 << 18
+#: Points per packed chunk.  A weighted support folds chunk by chunk,
+#: so these boundaries fix its float rounding.
+CHUNK_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -87,37 +95,37 @@ class RSSC:
         table: IntervalTable | None = None,
     ) -> None:
         """``signatures`` are :class:`Signature` objects, or, with
-        ``table``, id masks over that table (core generation's form)."""
+        ``table``, id masks over that table (core generation's form).
+
+        The kernel's bitmap rows are the table's interval ids, so a
+        bitmap packed by one RSSC over a table serves every RSSC over
+        the same table: the interval index of a fit
+        (:mod:`repro.mr.support`).
+        """
         self.signatures = list(signatures)
         if table is None:
             table = IntervalTable(iv for sig in self.signatures for iv in sig)
             masks = [table.encode(sig) for sig in self.signatures]
         else:
             masks = self.signatures
-        # Interval table: the distinct intervals of the candidate set,
-        # in table order, so each attribute's intervals occupy one
-        # contiguous row range.
-        used = 0
-        for mask in masks:
-            used |= mask
-        ids = mask_ids(used)
-        row = {k: r for r, k in enumerate(ids)}
-        self._intervals = tuple(table.intervals[k] for k in ids)
+        # Table order puts each attribute's intervals in one contiguous
+        # row range.
+        self._intervals = table.intervals
         self._lowers = np.array([iv.lower for iv in self._intervals]).reshape(-1, 1)
         self._uppers = np.array([iv.upper for iv in self._intervals]).reshape(-1, 1)
         attributes, starts = np.unique(
-            [iv.attribute for iv in self._intervals], return_index=True
+            np.array(table.attributes, dtype=np.intp), return_index=True
         )
-        stops = np.append(starts[1:], len(ids))
+        stops = np.append(starts[1:], len(table))
         self._columns = tuple(
             zip(attributes.tolist(), starts.tolist(), stops.tolist())
         )
-        # Each candidate's interval rows, grouped by signature size.
+        # Each candidate's interval ids, grouped by signature size.
         by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
         for j, mask in enumerate(masks):
             positions, rows = by_size.setdefault(mask.bit_count(), ([], []))
             positions.append(j)
-            rows.append([row[k] for k in mask_ids(mask)])
+            rows.append(mask_ids(mask))
         self._groups = tuple(
             (np.array(positions, dtype=np.intp), np.array(rows, dtype=np.intp))
             for _, (positions, rows) in sorted(by_size.items())
@@ -143,14 +151,14 @@ class RSSC:
 
     # -- transposed kernel ------------------------------------------------
 
-    def _bitmaps(self, block: np.ndarray) -> np.ndarray:
-        """``(num_intervals, ⌈rows/64⌉)`` uint64 words: bit ``i`` of row
+    def pack(self, block: np.ndarray) -> np.ndarray:
+        """``(len(table), ⌈rows/64⌉)`` uint64 words: bit ``i`` of row
         ``k`` is set iff point ``i`` of ``block``, clipped to [0, 1],
-        lies in distinct interval ``k``.  Padding bits past the last
-        point are 0, so they never count."""
+        lies in interval ``k`` of the table.  Padding bits past the
+        last point are 0, so they never count."""
         rows = len(block)
         words = -(-rows // _WORD_BITS)
-        bitmaps = np.zeros((len(self._lowers), 8 * words), dtype=np.uint8)
+        bitmaps = np.zeros((len(self._intervals), 8 * words), dtype=np.uint8)
         for attribute, start, stop in self._columns:
             column = np.clip(block[:, attribute], 0.0, 1.0)
             inside = (column >= self._lowers[start:stop]) & (
@@ -175,86 +183,86 @@ class RSSC:
                     words &= bitmaps[rows[:, column]]
                 yield positions[start : start + step], words
 
-    def membership_matrix(self, block: np.ndarray) -> np.ndarray:
-        """Boolean ``(n, num_signatures)`` membership matrix of a block:
-        entry ``(i, j)`` is True iff signature ``j`` contains point ``i``
-        (the serving scorer's core-interval test)."""
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        n = len(block)
-        matrix = np.zeros((self.num_signatures, n), dtype=bool)
-        if n and self.num_signatures:
-            bitmaps = self._bitmaps(block)
-            step = max(1, _SLICE_WORDS // bitmaps.shape[1])
-            for positions, words in self._supports(bitmaps, step):
-                matrix[positions] = np.unpackbits(
-                    words.view(np.uint8), axis=1, count=n, bitorder="little"
-                )
-        return matrix.T
-
-    def add_points(
+    def count(
         self,
-        block: np.ndarray,
+        bitmaps: np.ndarray,
         counts: np.ndarray,
-        chunk_rows: int = 65536,
+        weights: np.ndarray | None = None,
     ) -> None:
-        """Add the supports of a whole ``(n, d)`` block to ``counts``.
+        """Add the supports of one packed chunk (:meth:`pack`) to
+        ``counts``: one AND per candidate interval, one popcount per
+        candidate.
 
-        Per chunk of ``chunk_rows`` points: one bitmap per distinct
-        interval, one AND per candidate interval, one popcount per
-        candidate — bit-for-bit the counts of :meth:`add_point`.
+        With ``weights`` (one per point of the chunk; ``counts`` must
+        be float64) a candidate's support is the sum of the chunk's
+        weights under its support bitmap, folded in a fixed order, so a
+        fixed chunking yields a deterministic float fold.  With all-unit
+        weights the result equals the unweighted count numerically but
+        in float dtype — callers wanting bitwise parity with the
+        unweighted path must canonicalise unit weights to ``None``.
         """
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        if len(block) == 0 or self.num_signatures == 0:
-            return
-        for start in range(0, len(block), chunk_rows):
-            bitmaps = self._bitmaps(block[start : start + chunk_rows])
+        if weights is None:
             step = max(1, _SLICE_WORDS // bitmaps.shape[1])
             for positions, words in self._supports(bitmaps, step):
                 counts[positions] += np.bitwise_count(words).sum(
                     axis=1, dtype=np.int64
                 )
+            return
+        # Unpacked, a slice costs one float per point per candidate.
+        step = max(1, _SLICE_WORDS // len(weights))
+        for positions, words in self._supports(bitmaps, step):
+            bits = np.unpackbits(
+                words.view(np.uint8), axis=1, count=len(weights), bitorder="little"
+            )
+            counts[positions] += (bits * weights).sum(axis=1)
 
-    def add_points_weighted(
+    def membership(self, bitmaps: np.ndarray, rows: int) -> np.ndarray:
+        """Boolean ``(rows, num_signatures)`` membership matrix of one
+        packed chunk of ``rows`` points: entry ``(i, j)`` is True iff
+        signature ``j`` contains point ``i``."""
+        matrix = np.zeros((self.num_signatures, rows), dtype=bool)
+        if rows and self.num_signatures:
+            step = max(1, _SLICE_WORDS // bitmaps.shape[1])
+            for positions, words in self._supports(bitmaps, step):
+                matrix[positions] = np.unpackbits(
+                    words.view(np.uint8), axis=1, count=rows, bitorder="little"
+                )
+        return matrix.T
+
+    def membership_matrix(self, block: np.ndarray) -> np.ndarray:
+        """:meth:`membership` of a whole block (the serving scorer's
+        core-interval test)."""
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        return self.membership(self.pack(block), len(block))
+
+    def add_points(
         self,
         block: np.ndarray,
-        weights: np.ndarray,
         counts: np.ndarray,
-        chunk_rows: int = 65536,
+        chunk_rows: int = CHUNK_ROWS,
+        weights: np.ndarray | None = None,
     ) -> None:
-        """Weighted :meth:`add_points`: each point contributes its
-        weight instead of 1 to every signature containing it.
-
-        ``counts`` must be float64.  Per chunk, a candidate's weighted
-        support is the sum of the chunk's weights under its support
-        bitmap, folded in a fixed order, and chunks accumulate in
-        sequence, so a fixed chunking yields a deterministic float
-        fold.  With all-unit weights the result equals
-        :meth:`add_points` numerically but in float dtype — callers
-        wanting bitwise parity with the unweighted path must
-        canonicalise unit weights to the integer kernel.
-        """
+        """Add the (optionally weighted) supports of a whole ``(n, d)``
+        block to ``counts``: :meth:`count` per packed chunk of
+        ``chunk_rows`` points — bit-for-bit the counts of
+        :meth:`add_point`."""
         block = np.atleast_2d(np.asarray(block, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        if len(weights) != len(block):
-            raise ValueError(
-                f"weights ({len(weights)}) must align with block rows "
-                f"({len(block)})"
-            )
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if len(weights) != len(block):
+                raise ValueError(
+                    f"weights ({len(weights)}) must align with block rows "
+                    f"({len(block)})"
+                )
         if len(block) == 0 or self.num_signatures == 0:
             return
         for start in range(0, len(block), chunk_rows):
-            chunk = weights[start : start + chunk_rows]
-            bitmaps = self._bitmaps(block[start : start + chunk_rows])
-            # Unpacked, a slice costs one float per point per candidate.
-            step = max(1, _SLICE_WORDS // len(chunk))
-            for positions, words in self._supports(bitmaps, step):
-                bits = np.unpackbits(
-                    words.view(np.uint8),
-                    axis=1,
-                    count=len(chunk),
-                    bitorder="little",
-                )
-                counts[positions] += (bits * chunk).sum(axis=1)
+            stop = start + chunk_rows
+            self.count(
+                self.pack(block[start:stop]),
+                counts,
+                None if weights is None else weights[start:stop],
+            )
 
     def count_supports(self, data: np.ndarray) -> dict[Signature, int]:
         """Supports of all candidate signatures over a data block."""

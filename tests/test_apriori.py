@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.apriori import generate_candidates, maximal_signatures
 from repro.core.types import Interval, IntervalTable, Signature, mask_ids
+from tests.oracles import without
 
 
 def _iv(attribute: int, lo: float = 0.0, hi: float = 0.5) -> Interval:
@@ -76,7 +77,7 @@ def _all_pairs_oracle(signatures, prune=False):
         if joined is None or joined in seen:
             continue
         seen.add(joined)
-        if prune and any(joined.without(iv) not in universe for iv in joined):
+        if prune and any(without(joined, iv) not in universe for iv in joined):
             continue
         candidates.append(joined)
     return candidates

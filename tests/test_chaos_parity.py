@@ -25,7 +25,7 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.events import EventKind
 from repro.mapreduce.job import Job, Mapper, Reducer
-from repro.mr.support import run_support_job
+from tests.mr_helpers import count_supports_mr
 
 # One spec exercising every fault kind across both phases.
 CHAOS_SPEC = (
@@ -248,7 +248,7 @@ def run_vectorized_chain(
     )
     chain = JobChain(runtime)
     data, signatures = _support_workload()
-    supports = run_support_job(
+    supports = count_supports_mr(
         chain, split_records(data, NUM_SPLITS), signatures
     )
     outputs = pickle.dumps([(repr(sig), count) for sig, count in supports.items()])
@@ -356,7 +356,7 @@ def test_coreset_process_chaos_preserves_weights(clean_coreset_baseline):
 
 def test_vectorized_counts_match_bruteforce():
     """Anchor the parity sweep to ground truth, not just to itself."""
-    from repro.core.proving import count_supports
+    from tests.oracles import count_supports
 
     data, signatures = _support_workload()
     expected = count_supports(data, signatures)

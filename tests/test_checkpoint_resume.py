@@ -275,6 +275,14 @@ class TestDriverResume:
         )
         result = resumed.fit(data)
         assert resumed.chain.num_restored_jobs == completed_before
+        # The interval index is restored with the level-1 job: the
+        # resumed run re-ran no proving job.
+        proving = [
+            step for step in resumed.chain.steps
+            if step.name == "candidate_proving"
+        ]
+        assert len(proving) == result.metadata["proving_jobs"] >= 2
+        assert all(step.restored for step in proving)
         members_ref = sorted(
             tuple(sorted(c.members)) for c in reference.clusters
         )

@@ -36,8 +36,8 @@ from repro.mr.coreset import (
 )
 from repro.mr.em_jobs import run_em_mr
 from repro.mr.histogram import run_histogram_job
-from repro.mr.support import run_support_job
 from repro.mr.weights import canonical_weights, take_weights
+from tests.mr_helpers import count_supports_mr
 
 
 def _chain(executor: str = "serial", max_workers: int | None = None) -> JobChain:
@@ -205,8 +205,8 @@ class TestUnitWeightParity:
             Signature([Interval(0, 0.0, 0.5)]),
             Signature([Interval(1, 0.25, 0.75), Interval(2, 0.0, 0.6)]),
         ]
-        plain = run_support_job(_chain(executor, 3), splits, signatures)
-        unit = run_support_job(
+        plain = count_supports_mr(_chain(executor, 3), splits, signatures)
+        unit = count_supports_mr(
             _chain(executor, 3), splits, signatures, weights=np.ones(len(data))
         )
         assert unit == plain
@@ -309,10 +309,12 @@ class TestDuplicationOracle:
             Signature([Interval(1, 0.0, 0.4), Interval(2, 0.3, 1.0)]),
             Signature([Interval(2, 0.95, 1.0)]),  # exercises near-empty support
         ]
-        weighted = run_support_job(
+        weighted = count_supports_mr(
             _chain(), split_records(data, 4), signatures, weights=weights.astype(float)
         )
-        oracle = run_support_job(_chain(), split_records(duplicated, 4), signatures)
+        oracle = count_supports_mr(
+            _chain(), split_records(duplicated, 4), signatures
+        )
         assert {s: float(v) for s, v in weighted.items()} == {
             s: float(v) for s, v in oracle.items()
         }

@@ -110,7 +110,7 @@ def _mr_core_phase(data: np.ndarray, num_splits: int, multi_level: bool):
     )
     driver._begin_run()
     with driver._open_chain() as chain:
-        cores, _ = driver._run_core_phase(
+        cores, _, _ = driver._run_core_phase(
             split_records(data, num_splits), len(data), chain
         )
     return cores

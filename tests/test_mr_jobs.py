@@ -8,8 +8,7 @@ import pytest
 
 from repro.core.binning import build_all_histograms
 from repro.core.em import GaussianMixture, _moments, fit_em, initialize_from_cores
-from repro.core.proving import count_supports
-from repro.core.types import ClusterCore, Interval, Signature
+from repro.core.types import ClusterCore, Interval, IntervalTable, Signature
 from repro.mapreduce import JobChain, MapReduceRuntime
 from repro.mapreduce.types import split_records
 from repro.mr.em_jobs import (
@@ -19,7 +18,9 @@ from repro.mr.em_jobs import (
     run_moment_job,
 )
 from repro.mr.histogram import run_histogram_job
-from repro.mr.support import run_support_job
+from repro.mr.support import IntervalIndex, run_support_job
+from tests.mr_helpers import count_supports_mr
+from tests.oracles import count_supports
 
 
 @pytest.fixture()
@@ -69,12 +70,12 @@ class TestSupportJob:
             Signature([Interval(0, 0.0, 0.5)]),
             Signature([Interval(0, 0.0, 0.5), Interval(1, 0.5, 1.0)]),
         ]
-        supports = run_support_job(chain, splits, candidates)
+        supports = count_supports_mr(chain, splits, candidates)
         assert supports == count_supports(tiny_dataset.data, candidates)
 
-    def test_empty_candidates_no_job(self, tiny_dataset, chain):
-        splits = split_records(tiny_dataset.data, 2)
-        assert run_support_job(chain, splits, []) == {}
+    def test_empty_candidates_no_job(self, chain):
+        index = IntervalIndex(IntervalTable([]), [])
+        assert run_support_job(chain, index, []) == {}
         assert chain.num_jobs == 0
 
 

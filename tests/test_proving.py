@@ -11,9 +11,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.core.proving import ProveStats, SupportTester, count_supports
+from repro.core.proving import ProveStats, SupportTester
 from repro.core.stats import cohens_d_cc, poisson_deviation_significant
 from repro.core.types import Interval, IntervalTable, Signature
+from tests.oracles import count_supports, without
 
 #: Every interval the unit tests use: [0, 0.1] and [0, 0.5] on
 #: attributes 0-3.
@@ -149,12 +150,12 @@ def _prove_oracle(n, alpha, theta_cc, candidates, supports, known, proven_set):
     proven, stats, failed_at = [], ProveStats(), []
     for sig in sorted(candidates, key=len):
         stats.candidates += 1
-        if len(sig) > 1 and any(sig.without(iv) not in accepted for iv in sig):
+        if len(sig) > 1 and any(without(sig, iv) not in accepted for iv in sig):
             stats.rejected_unproven_parent += 1
             continue
         verdict = None
         for position, interval in enumerate(sig):
-            parent = sig.without(interval)
+            parent = without(sig, interval)
             if len(parent) and parent not in merged:
                 verdict = "poisson"
             else:
@@ -198,7 +199,7 @@ def _random_batch(rng, n):
                 )
     supports = {}
     for sig in signatures:
-        expected = [supports.get(sig.without(iv), n) * iv.width for iv in sig]
+        expected = [supports.get(without(sig, iv), n) * iv.width for iv in sig]
         supports[sig] = int(max(expected) * rng.uniform(0.8, 2.5))
     rng.shuffle(signatures)
     table = IntervalTable(iv for row in intervals for iv in row)

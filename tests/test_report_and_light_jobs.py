@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.types import ClusterCore
+from repro.core.types import ClusterCore, IntervalTable
 from repro.experiments import report
 from repro.experiments.configs import ExperimentScale
 from repro.mapreduce import JobChain, MapReduceRuntime
 from repro.mapreduce.types import split_records
 from repro.mr.light_jobs import run_light_membership_job
+from repro.mr.support import build_interval_index
 
 
 class TestReport:
@@ -31,6 +32,14 @@ class TestReport:
         assert "Figure 1" in text
 
 
+def _light_membership(chain, splits, signatures, n):
+    """The Light membership job, fed an index packed by the level-1
+    proving job over the signatures' intervals."""
+    table = IntervalTable(iv for sig in signatures for iv in sig)
+    _, index = build_interval_index(chain, splits, table)
+    return run_light_membership_job(chain, index, signatures, n)
+
+
 class TestLightMembershipJob:
     def test_matches_driver_side_masks(self, tiny_dataset):
         data = tiny_dataset.data
@@ -48,9 +57,7 @@ class TestLightMembershipJob:
         signatures = [c.signature for c in cores]
         chain = JobChain(MapReduceRuntime())
         splits = split_records(data, 5)
-        exclusive, assignment = run_light_membership_job(
-            chain, splits, signatures, n
-        )
+        exclusive, assignment = _light_membership(chain, splits, signatures, n)
 
         masks = np.stack([s.support_mask(data) for s in signatures], axis=1)
         cover = masks.sum(axis=1)
@@ -66,7 +73,7 @@ class TestLightMembershipJob:
         splits = split_records(tiny_dataset.data, 3)
         # A signature covering nothing.
         empty_sig = Signature([Interval(0, 0.999999, 1.0)])
-        exclusive, assignment = run_light_membership_job(
+        exclusive, assignment = _light_membership(
             chain, splits, [empty_sig], len(tiny_dataset.data)
         )
         assert (assignment == -1).sum() > 0

@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.proving import count_supports
 from repro.core.types import Interval, Signature
 from repro.mr.rssc import RSSC
+from tests.oracles import count_supports
 
 
 def _random_signatures(rng, num_sigs: int, d: int) -> list[Signature]:
@@ -174,7 +174,7 @@ class TestAddPoints:
         # exactly as the integer kernel counts w copies of it.
         weights = rng.integers(0, 4, size=n)
         weighted = np.zeros(rssc.num_signatures)
-        rssc.add_points_weighted(data, weights, weighted, chunk_rows=chunk_rows)
+        rssc.add_points(data, weighted, chunk_rows=chunk_rows, weights=weights)
         copies = np.zeros(rssc.num_signatures, dtype=np.int64)
         rssc.add_points(np.repeat(data, weights, axis=0), copies)
         np.testing.assert_array_equal(weighted, copies)
@@ -182,7 +182,7 @@ class TestAddPoints:
         # up to float64 rounding.
         weights = rng.exponential(size=n)
         weighted = np.zeros(rssc.num_signatures)
-        rssc.add_points_weighted(data, weights, weighted, chunk_rows=chunk_rows)
+        rssc.add_points(data, weighted, chunk_rows=chunk_rows, weights=weights)
         np.testing.assert_allclose(
             weighted,
             [weights[sig.support_mask(clipped)].sum() for sig in signatures],
@@ -295,8 +295,28 @@ class TestClampRegression:
             [[0, 1], [1, 0], [0, 1], [1, 0], [0, 0], [0, 1], [1, 0]],
         )
         weighted = np.zeros(2)
-        rssc.add_points_weighted(data, np.arange(1.0, 8.0), weighted)
+        rssc.add_points(data, weighted, weights=np.arange(1.0, 8.0))
         np.testing.assert_array_equal(weighted, [2 + 4 + 7, 1 + 3 + 6])
+
+    def test_support_mask_counts_drift_like_the_rssc(self):
+        """One clamp rule: the brute-force support of intervals that
+        touch 0 and 1 counts values 1e-12 outside [0, 1] as the RSSC
+        does."""
+        signatures = [
+            Signature([Interval(0, 0.0, 0.4)]),
+            Signature([Interval(0, 0.6, 1.0)]),
+            Signature([Interval(0, 0.0, 1.0), Interval(1, 0.0, 0.3)]),
+            Signature([Interval(0, 0.2, 0.7), Interval(1, 0.8, 1.0)]),
+        ]
+        rng = np.random.default_rng(5)
+        data = rng.uniform(size=(200, 2))
+        data[:20] = -1e-12
+        data[20:40] = 1.0 + 1e-12
+        data[40:60, 0] = 0.5
+        counts = RSSC(signatures).count_supports(data)
+        for sig in signatures:
+            assert sig.support_mask(data).sum() == counts[sig]
+        assert counts[signatures[0]] >= 20 and counts[signatures[1]] >= 20
 
     def test_membership_bits_on_drifted_values(self):
         rssc = self._rssc()

