@@ -3,29 +3,21 @@
 Measures the per-point inner loops the vectorized data plane replaced —
 scalar RSSC support counting vs the transposed bitmap kernel, per-row
 histogram binning vs whole-block binning — plus the cost of shipping a
-task's distributed cache with and without per-worker broadcast, and the
-shuffle plane itself: per-pair tuple buckets vs columnar blocks
-(``shuffle_tuple`` / ``shuffle_columnar`` / ``shuffle_combined``) and
-the scalar combiner loop vs the argsort + sequential ``np.cumsum``
-fold (``combine_python`` / ``combine_vectorized``).  Writes
+task's distributed cache with and without per-worker broadcast.  Writes
 ``BENCH_hotpaths.json`` at the repository root so successive runs
 record the trajectory (schema v2: ``{bench, n, d, seconds,
-points_per_sec, bytes?}`` rows — ``bytes`` is the serialized shuffle
-payload size where the bench ships one).
+points_per_sec}`` rows).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py            # full workload
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick \\
-        --min-rssc-speedup 5 --min-shuffle-speedup 3 \\
-        --min-shuffle-bytes-reduction 5
+        --min-rssc-speedup 5
 
-The ``--min-*`` flags exit non-zero when a measured ratio falls below
-the bound — the CI ``perf-smoke`` gates: batch RSSC vs scalar,
-columnar vs tuple shuffle wall time, and the serialized shuffle volume
-of the full vectorized plane (combine + columnar) vs raw per-pair
-tuples.
+``--min-rssc-speedup`` exits non-zero when batch RSSC counting is less
+than that multiple faster than the scalar path (the CI ``perf-smoke``
+gate).
 """
 
 from __future__ import annotations
@@ -68,19 +60,14 @@ def _random_signatures(
     return signatures
 
 
-def _row(
-    bench: str, n: int, d: int, seconds: float, nbytes: int | None = None
-) -> dict:
-    row = {
+def _row(bench: str, n: int, d: int, seconds: float) -> dict:
+    return {
         "bench": bench,
         "n": n,
         "d": d,
         "seconds": round(seconds, 6),
         "points_per_sec": round(n / seconds, 1) if seconds > 0 else None,
     }
-    if nbytes is not None:
-        row["bytes"] = int(nbytes)
-    return row
 
 
 def bench_rssc(
@@ -177,138 +164,6 @@ def bench_cache_dispatch(
     ]
 
 
-def _shuffle_roundtrip(
-    pairs: list, num_partitions: int, columnar: bool
-) -> tuple[float, int, list]:
-    """Scatter + pickle round trip + gather of one map task's pairs.
-
-    Models the process-executor transport: the serialized payload size
-    is what would cross the process boundary.  Returns
-    ``(seconds, payload_bytes, gathered_partitions)``.
-    """
-    from repro.mapreduce.counters import Counters
-    from repro.mapreduce.job import HashPartitioner
-    from repro.mapreduce.runtime import Shuffle
-
-    shuffle = Shuffle(HashPartitioner(), num_partitions, columnar=columnar)
-    started = time.perf_counter()
-    payload = shuffle.scatter(pairs, Counters())
-    blob = pickle.dumps(payload, protocol=5)
-    partitions = Shuffle.gather([pickle.loads(blob)], num_partitions)
-    return time.perf_counter() - started, len(blob), partitions
-
-
-def _grouped_sums(partitions: list) -> dict:
-    """Reduce-side oracle: per-key summed values of every partition."""
-    from repro.mapreduce.job import group_sorted_pairs
-    from repro.mapreduce.types import bucket_pairs
-
-    sums: dict = {}
-    for bucket in partitions:
-        for key, values in group_sorted_pairs(bucket_pairs(bucket)):
-            total = values[0].copy()
-            for value in values[1:]:
-                total += value
-            sums[key] = sums.get(key, 0) + total
-    return sums
-
-
-def bench_shuffle(
-    rng: np.random.Generator, n: int, d: int, num_partitions: int = 8
-) -> tuple[list[dict], float, float]:
-    """Tuple vs columnar vs combined+columnar shuffle planes.
-
-    Returns ``(rows, speedup, bytes_reduction)``: the wall-time ratio
-    of the tuple and columnar planes on identical per-point pairs, and
-    the serialized-volume ratio between raw per-pair tuples and the
-    full vectorized plane (map-side combine, then columnar buckets).
-    """
-    from repro.mapreduce.job import fold_uniform_pairs
-
-    data = rng.uniform(size=(n, d))
-    pairs = [(int(i % 64), data[i]) for i in range(n)]
-
-    tuple_s, tuple_b, tuple_parts = _shuffle_roundtrip(
-        pairs, num_partitions, columnar=False
-    )
-    col_s, col_b, col_parts = _shuffle_roundtrip(
-        pairs, num_partitions, columnar=True
-    )
-
-    started = time.perf_counter()
-    combined = fold_uniform_pairs(pairs)
-    fold_s = time.perf_counter() - started
-    assert combined is not None
-    comb_s, comb_b, comb_parts = _shuffle_roundtrip(
-        combined, num_partitions, columnar=True
-    )
-    comb_s += fold_s  # the combine is part of this plane's cost
-
-    # Parity guard: every plane must deliver identical reduce input.
-    oracle = _grouped_sums(tuple_parts)
-    for label, parts in (("columnar", col_parts), ("combined", comb_parts)):
-        got = _grouped_sums(parts)
-        if set(got) != set(oracle) or any(
-            not np.array_equal(got[k], oracle[k]) for k in oracle
-        ):
-            raise AssertionError(
-                f"{label} shuffle plane diverged from the tuple oracle"
-            )
-
-    speedup = tuple_s / col_s if col_s > 0 else float("inf")
-    bytes_reduction = tuple_b / comb_b if comb_b > 0 else float("inf")
-    rows = [
-        _row("shuffle_tuple", n, d, tuple_s, tuple_b),
-        _row("shuffle_columnar", n, d, col_s, col_b),
-        _row("shuffle_combined", n, d, comb_s, comb_b),
-    ]
-    return rows, speedup, bytes_reduction
-
-
-def bench_combine(
-    rng: np.random.Generator, n: int, d: int, num_keys: int = 64
-) -> tuple[list[dict], float]:
-    """Scalar combiner loop vs the argsort + ``np.cumsum`` fold."""
-    from repro.mapreduce.job import (
-        ArraySumCombiner,
-        Context,
-        fold_uniform_pairs,
-        group_sorted_pairs,
-    )
-    from repro.mapreduce.cache import DistributedCache
-    from repro.mapreduce.counters import Counters
-
-    data = rng.uniform(size=(n, d))
-    pairs = [(int(i % num_keys), data[i]) for i in range(n)]
-
-    combiner = ArraySumCombiner()
-    ctx = Context(DistributedCache(), Counters(), task_id=0)
-    started = time.perf_counter()
-    for key, values in group_sorted_pairs(list(pairs)):
-        combiner.combine(key, values, ctx)
-    scalar_out = ctx.drain()
-    scalar_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    vector_out = fold_uniform_pairs(pairs)
-    vector_s = time.perf_counter() - started
-
-    assert vector_out is not None
-    if len(scalar_out) != len(vector_out) or any(
-        ks != kv or not np.array_equal(vs, vv)
-        for (ks, vs), (kv, vv) in zip(scalar_out, vector_out)
-    ):
-        raise AssertionError(
-            "vectorized combine diverged from the scalar oracle"
-        )
-    speedup = scalar_s / vector_s if vector_s > 0 else float("inf")
-    rows = [
-        _row("combine_python", n, d, scalar_s),
-        _row("combine_vectorized", n, d, vector_s),
-    ]
-    return rows, speedup
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=None, help="points per split")
@@ -328,20 +183,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fail unless batch RSSC >= this multiple of the scalar path",
     )
     parser.add_argument(
-        "--min-shuffle-speedup",
-        type=float,
-        default=None,
-        help="fail unless the columnar shuffle round trip is >= this "
-        "multiple faster than the tuple plane",
-    )
-    parser.add_argument(
-        "--min-shuffle-bytes-reduction",
-        type=float,
-        default=None,
-        help="fail unless the combined+columnar plane ships >= this "
-        "multiple fewer serialized bytes than raw per-pair tuples",
-    )
-    parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT, help="output JSON path"
     )
     parser.add_argument("--seed", type=int, default=7)
@@ -356,64 +197,38 @@ def main(argv: list[str] | None = None) -> int:
     rows.extend(rssc_rows)
     rows.extend(bench_histogram(rng, n, args.d))
     rows.extend(bench_cache_dispatch(rng, args.d, args.candidates, 64))
-    shuffle_rows, shuffle_speedup, bytes_reduction = bench_shuffle(
-        rng, n, args.d
-    )
-    rows.extend(shuffle_rows)
-    combine_rows, combine_speedup = bench_combine(rng, n, args.d)
-    rows.extend(combine_rows)
 
     report = {
         "schema": SCHEMA,
         "quick": bool(args.quick),
         "workload": {"n": n, "d": args.d, "candidates": args.candidates},
         "rssc_speedup": round(speedup, 2),
-        "shuffle_speedup": round(shuffle_speedup, 2),
-        "shuffle_bytes_reduction": round(bytes_reduction, 2),
-        "combine_speedup": round(combine_speedup, 2),
         "rows": rows,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     width = max(len(r["bench"]) for r in rows)
     print(
-        f"{'bench':<{width}} {'n':>8} {'d':>4} {'seconds':>10} "
-        f"{'points/s':>14} {'bytes':>10}"
+        f"{'bench':<{width}} {'n':>8} {'d':>4} {'seconds':>10} {'points/s':>14}"
     )
     for r in rows:
         pps = f"{r['points_per_sec']:,.0f}" if r["points_per_sec"] else "-"
-        nbytes = f"{r['bytes']:,}" if "bytes" in r else "-"
         print(
             f"{r['bench']:<{width}} {r['n']:>8} {r['d']:>4} "
-            f"{r['seconds']:>10.4f} {pps:>14} {nbytes:>10}"
+            f"{r['seconds']:>10.4f} {pps:>14}"
         )
     print(f"\nbatch RSSC speedup over scalar: {speedup:.1f}x")
-    print(f"columnar shuffle speedup over tuple: {shuffle_speedup:.1f}x")
-    print(
-        "combined+columnar shuffle bytes reduction: "
-        f"{bytes_reduction:.1f}x"
-    )
-    print(f"vectorized combine speedup over scalar: {combine_speedup:.1f}x")
     print(f"[saved to {args.out}]")
 
-    failed = False
-    for label, measured, bound in (
-        ("batch RSSC speedup", speedup, args.min_rssc_speedup),
-        ("columnar shuffle speedup", shuffle_speedup, args.min_shuffle_speedup),
-        (
-            "shuffle bytes reduction",
-            bytes_reduction,
-            args.min_shuffle_bytes_reduction,
-        ),
-    ):
-        if bound is not None and measured < bound:
-            print(
-                f"FAIL: {label} {measured:.1f}x is below the "
-                f"required {bound:g}x",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
+    bound = args.min_rssc_speedup
+    if bound is not None and speedup < bound:
+        print(
+            f"FAIL: batch RSSC speedup {speedup:.1f}x is below the "
+            f"required {bound:g}x",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

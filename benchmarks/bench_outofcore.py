@@ -1,21 +1,14 @@
-"""Out-of-core data-plane benchmark: bounded RSS and spill throughput.
+"""Out-of-core data-plane benchmark: a bounded-RSS scan.
 
-Proves the two headline properties of the out-of-core plane on a
-dataset that is deliberately larger than the configured memory budget:
-
-- **Phase 1 — bounded scan.**  A ``.npy`` matrix is written to disk in
-  streaming chunks (the full matrix is never resident), then a
-  column-statistics MR job consumes it through
-  :func:`~repro.mapreduce.fs.make_npy_splits` under
-  ``JobConf.memory_budget_bytes``.  The runtime derives a per-chunk row
-  cap from the budget, so peak RSS growth during the job must stay a
-  small fraction of the dataset size.  ``peak_rss_ratio`` = (RSS
-  high-water delta across phase 1) / dataset bytes.
-- **Phase 2 — spill-to-disk shuffle.**  A row-scatter job re-keys every
-  row and shuffles the whole matrix through the columnar plane with the
-  same budget, forcing over-budget buckets onto disk as compressed npz
-  segments.  ``spilled_bytes`` / ``spill_segments`` come from the
-  framework counters.
+Proves the headline property of the out-of-core plane on a dataset
+that is deliberately larger than the configured memory budget: a
+``.npy`` matrix is written to disk in streaming chunks (the full matrix
+is never resident), then a column-statistics MR job consumes it through
+:func:`~repro.mapreduce.fs.make_npy_splits` under
+``JobConf.memory_budget_bytes``.  The runtime derives a per-chunk row
+cap from the budget, so peak RSS growth during the job must stay a
+small fraction of the dataset size.  ``peak_rss_ratio`` = (RSS
+high-water delta across the scan) / dataset bytes.
 
 Writes ``BENCH_outofcore.json`` at the repository root (schema v1).
 
@@ -24,12 +17,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_outofcore.py           # full
     PYTHONPATH=src python benchmarks/bench_outofcore.py --quick   # CI
     PYTHONPATH=src python benchmarks/bench_outofcore.py --quick \\
-        --max-rss-ratio 0.6 --min-spilled 1
+        --max-rss-ratio 0.6
 
-``--max-rss-ratio`` exits non-zero when the phase-1 RSS delta exceeds
-the given fraction of the dataset; ``--min-spilled`` exits non-zero
-when the phase-2 shuffle spilled fewer bytes than required.  These are
-the CI ``outofcore-smoke`` gates.
+``--max-rss-ratio`` exits non-zero when the scan's RSS delta exceeds
+the given fraction of the dataset; it is the CI ``outofcore-smoke``
+gate.
 """
 
 from __future__ import annotations
@@ -47,12 +39,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.mapreduce.fs import make_npy_splits  # noqa: E402
-from repro.mapreduce.job import (  # noqa: E402
-    ArraySumCombiner,
-    BatchMapper,
-    Job,
-    Reducer,
-)
+from repro.mapreduce.job import BatchMapper, Job, Reducer  # noqa: E402
 from repro.mapreduce.runtime import MapReduceRuntime  # noqa: E402
 from repro.mapreduce.types import JobConf  # noqa: E402
 from repro.obs.resources import peak_rss_kb  # noqa: E402
@@ -112,29 +99,14 @@ class ColumnStatsReducer(Reducer):
         context.emit(key, total)
 
 
-class RowScatterMapper(BatchMapper):
-    """Re-keys every row — the shuffle-heavy half of the benchmark."""
-
-    def map_batch(self, keys, block, context) -> None:
-        for i, key in enumerate(keys):
-            context.emit(int(key) % 16, block[i])
-
-
-class RowCountReducer(Reducer):
-    def reduce(self, key, values, context) -> None:
-        context.emit(key, len(values))
-
-
 def bench_bounded_scan(
     path: Path, n: int, d: int, num_splits: int, budget: int
 ) -> dict:
-    """Phase 1: column stats over npy splits under a memory budget."""
+    """Column stats over npy splits under a memory budget."""
     splits, _, _ = make_npy_splits(path, num_splits, mode="read")
     baseline_kb = peak_rss_kb()
     job = Job(
-        mapper_factory=ColumnStatsMapper,
-        reducer_factory=ColumnStatsReducer,
-        combiner_factory=ArraySumCombiner,
+        mapper_factory=ColumnStatsMapper, reducer_factory=ColumnStatsReducer
     )
     conf = JobConf(
         name="outofcore-scan",
@@ -165,38 +137,6 @@ def bench_bounded_scan(
     }
 
 
-def bench_spill_shuffle(
-    path: Path, n: int, d: int, num_splits: int, budget: int
-) -> dict:
-    """Phase 2: full-matrix re-key shuffle forced through the spill."""
-    splits, _, _ = make_npy_splits(path, num_splits, mode="read")
-    job = Job(
-        mapper_factory=RowScatterMapper,
-        reducer_factory=RowCountReducer,
-    )
-    conf = JobConf(
-        name="outofcore-shuffle",
-        num_reducers=4,
-        memory_budget_bytes=budget,
-    )
-    runtime = MapReduceRuntime(executor="serial")
-    started = time.perf_counter()
-    result = runtime.run(job, splits, conf)
-    seconds = time.perf_counter() - started
-    assert sum(count for _, count in result.output) == n, "shuffle lost rows"
-    counters = result.counters
-    return {
-        "bench": "spill_shuffle",
-        "n": n,
-        "d": d,
-        "seconds": round(seconds, 6),
-        "rows_per_sec": round(n / seconds, 1) if seconds > 0 else None,
-        "shuffle_bytes": counters.framework_value("shuffle_bytes"),
-        "spilled_bytes": counters.framework_value("spilled_bytes"),
-        "spill_segments": counters.framework_value("spill_segments"),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
@@ -207,14 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-rss-ratio",
         type=float,
         default=None,
-        help="fail when phase-1 RSS delta exceeds this fraction of the "
-        "dataset size",
-    )
-    parser.add_argument(
-        "--min-spilled",
-        type=int,
-        default=None,
-        help="fail when the phase-2 shuffle spilled fewer bytes",
+        help="fail when the scan's RSS delta exceeds this fraction of "
+        "the dataset size",
     )
     args = parser.parse_args(argv)
 
@@ -226,20 +160,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.quick:
         n, d, num_splits = 2_000_000, 8, 8
         budget = 4 * 1024 * 1024
-        shuffle_n = 60_000
-        shuffle_budget = 256 * 1024
     else:
         n, d, num_splits = 8_000_000, 12, 16
         budget = 16 * 1024 * 1024
-        shuffle_n = 400_000
-        shuffle_budget = 1024 * 1024
 
     rows: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="repro-outofcore-") as tmp:
         scan_path = Path(tmp) / "scan.npy"
         dataset_bytes = write_streaming_npy(scan_path, n, d, seed=11)
         print(
-            f"phase 1: scanning {dataset_bytes / 1e6:.0f} MB "
+            f"scanning {dataset_bytes / 1e6:.0f} MB "
             f"({n} x {d}) under a {budget / 1e6:.1f} MB budget"
         )
         scan = bench_bounded_scan(scan_path, n, d, num_splits, budget)
@@ -250,30 +180,11 @@ def main(argv: list[str] | None = None) -> int:
             f"(ratio {scan['peak_rss_ratio']:.3f})"
         )
 
-        shuffle_path = Path(tmp) / "shuffle.npy"
-        write_streaming_npy(shuffle_path, shuffle_n, d, seed=12)
-        print(
-            f"phase 2: shuffling {shuffle_n} x {d} rows under a "
-            f"{shuffle_budget / 1e3:.0f} KB budget"
-        )
-        shuffle = bench_spill_shuffle(
-            shuffle_path, shuffle_n, d, num_splits, shuffle_budget
-        )
-        rows.append(shuffle)
-        print(
-            f"  {shuffle['seconds']:.2f}s, spilled "
-            f"{shuffle['spilled_bytes']} bytes in "
-            f"{shuffle['spill_segments']} segments"
-        )
-
     artifact = {
         "schema": SCHEMA,
         "quick": bool(args.quick),
         "peak_rss_ratio": rows[0]["peak_rss_ratio"],
-        "spilled_bytes": rows[1]["spilled_bytes"],
-        "spill_segments": rows[1]["spill_segments"],
         "scan_rows_per_sec": rows[0]["rows_per_sec"],
-        "shuffle_rows_per_sec": rows[1]["rows_per_sec"],
         "rows": rows,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -289,16 +200,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: peak_rss_ratio {artifact['peak_rss_ratio']:.3f} exceeds "
             f"--max-rss-ratio {args.max_rss_ratio}",
-            file=sys.stderr,
-        )
-        status = 1
-    if (
-        args.min_spilled is not None
-        and artifact["spilled_bytes"] < args.min_spilled
-    ):
-        print(
-            f"FAIL: spilled_bytes {artifact['spilled_bytes']} below "
-            f"--min-spilled {args.min_spilled}",
             file=sys.stderr,
         )
         status = 1

@@ -5,7 +5,7 @@ The repo commits five benchmark artifacts at the root —
 ``BENCH_hotpaths.json`` (data-plane speedup ratios),
 ``BENCH_service.json`` (fair-share service latencies),
 ``BENCH_serving.json`` (batched model-scoring throughput),
-``BENCH_outofcore.json`` (bounded-RSS scan + spill shuffle) and
+``BENCH_outofcore.json`` (bounded-RSS scan) and
 ``BENCH_coreset.json`` (approximate-fit speedup + quality) — plus
 frozen copies under ``benchmarks/baselines/``.  This script compares the named
 headline metrics between the two and exits non-zero when any metric
@@ -14,7 +14,7 @@ build instead of silently eroding the numbers the paper reproduction
 advertises.
 
 Each metric has a direction: for *higher-is-better* ratios
-(``shuffle_speedup``) a regression is the current value falling below
+(``rssc_speedup``) a regression is the current value falling below
 ``baseline * (1 - tolerance)``; for *lower-is-better* latencies
 (``probe_p95_s``, ``starvation_ratio``) it is the current value rising
 above ``baseline * (1 + tolerance)``.  Improvements never fail.
@@ -67,9 +67,6 @@ class MetricSpec:
 #: size and only compare when both artifacts ran at the same scale.
 METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("BENCH_hotpaths.json", "rssc_speedup", True),
-    MetricSpec("BENCH_hotpaths.json", "shuffle_speedup", True),
-    MetricSpec("BENCH_hotpaths.json", "shuffle_bytes_reduction", True),
-    MetricSpec("BENCH_hotpaths.json", "combine_speedup", True),
     MetricSpec("BENCH_service.json", "starvation_ratio", False),
     MetricSpec(
         "BENCH_service.json", "probe_p95_s", False, scale_sensitive=True
@@ -92,20 +89,13 @@ METRICS: tuple[MetricSpec, ...] = (
     ),
     # Out-of-core plane: the bounded scan's RSS growth as a fraction of
     # the dataset (0.0 when fully bounded; 5% absolute allowance for
-    # allocator jitter) and the spill volume the forced shuffle pushes
-    # to disk (shrinking spill = buckets silently staying in heap).
+    # allocator jitter).
     MetricSpec(
         "BENCH_outofcore.json",
         "peak_rss_ratio",
         False,
         scale_sensitive=True,
         slack=0.05,
-    ),
-    MetricSpec(
-        "BENCH_outofcore.json",
-        "spilled_bytes",
-        True,
-        scale_sensitive=True,
     ),
     # Coreset fast path: wall-clock multiple over the exact chain (the
     # ratio shifts with workload size — the two extra full scans

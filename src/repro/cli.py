@@ -77,7 +77,6 @@ class ExecOptions:
     resume: bool = False
     model_registry: str | None = None
     memory_budget_bytes: int | None = None
-    spill_dir: str | None = None
     max_block_rows: int | None = None
     coreset_size: int | None = None
     coreset_mode: str = "uniform"
@@ -108,7 +107,6 @@ ALGORITHMS: dict[str, Callable[[P3CPlusConfig, ExecOptions], Any]] = {
             resume=opts.resume,
             model_registry=opts.model_registry,
             memory_budget_bytes=opts.memory_budget_bytes,
-            spill_dir=opts.spill_dir,
             max_block_rows=opts.max_block_rows,
             coreset_size=opts.coreset_size,
             coreset_mode=opts.coreset_mode,
@@ -128,7 +126,6 @@ ALGORITHMS: dict[str, Callable[[P3CPlusConfig, ExecOptions], Any]] = {
             resume=opts.resume,
             model_registry=opts.model_registry,
             memory_budget_bytes=opts.memory_budget_bytes,
-            spill_dir=opts.spill_dir,
             max_block_rows=opts.max_block_rows,
         ),
         obs=opts.obs,
@@ -295,15 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SIZE",
         help="out-of-core mode (mr/mr-light only): per-task resident "
         "byte budget like '64m' or '2g'; the input streams from disk "
-        "in budget-sized chunks and over-budget shuffles spill to "
-        "compressed segment files (without --normalize the data "
-        "matrix is never materialised in the driver)",
-    )
-    cluster.add_argument(
-        "--spill-dir",
-        default=None,
-        help="root directory for shuffle spill segments (default: "
-        "run-scoped temporary directories, removed per job)",
+        "in budget-sized chunks (without --normalize the data matrix "
+        "is never materialised in the driver)",
     )
     cluster.add_argument(
         "--max-block-rows",
@@ -710,7 +700,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         resume=args.resume,
         model_registry=args.register,
         memory_budget_bytes=memory_budget,
-        spill_dir=args.spill_dir,
         max_block_rows=args.max_block_rows,
         coreset_size=args.coreset_size,
         coreset_mode=args.coreset_mode or "uniform",

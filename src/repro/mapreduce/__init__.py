@@ -2,14 +2,16 @@
 
 This package is the *substrate* of the reproduction: the paper's
 algorithms (P3C+-MR, P3C+-MR-Light, BoW) are expressed as genuine
-map / combine / shuffle / reduce programs against this runtime, with
-the same dataflow contracts Hadoop offers:
+map / shuffle / reduce programs against this runtime, with the same
+dataflow contracts Hadoop offers:
 
 - input is partitioned into :class:`~repro.mapreduce.types.InputSplit`\\ s,
   one mapper task per split;
-- mapper tasks emit intermediate ``(key, value)`` pairs, optionally
-  pre-aggregated by a combiner;
-- pairs are partitioned, sorted by key and grouped before reduction;
+- mapper tasks emit intermediate ``(key, value)`` pairs; the P3C+-MR
+  mappers aggregate their split in memory and emit from ``cleanup``
+  (in-mapper combining), so there is no separate combiner stage;
+- pairs are partitioned into per-reducer lists, sorted by key and
+  grouped before reduction;
 - a read-only *distributed cache* ships side data to every task;
 - *counters* account for records and (approximate) shuffle volume,
   which feeds the cluster cost model used for paper-scale runtime
@@ -64,7 +66,6 @@ from repro.mapreduce.fs import (
 from repro.mapreduce.job import (
     BatchMapper,
     BufferedBatchMapper,
-    Combiner,
     Context,
     HashPartitioner,
     Job,
@@ -104,7 +105,6 @@ __all__ = [
     "CheckpointStore",
     "ClusterCostModel",
     "ClusterService",
-    "Combiner",
     "Context",
     "CostEstimate",
     "CounterGroup",

@@ -67,13 +67,11 @@ class JobChain:
         store is *restored* — its persisted output becomes the step
         result, a ``job_skipped`` event is emitted, and no tasks run.
         When false the store is still written, but never read.
-    memory_budget_bytes / spill_dir / max_block_rows:
+    memory_budget_bytes / max_block_rows:
         Out-of-core knobs stamped onto every step's :class:`JobConf`:
-        a resident-payload budget that makes over-budget columnar
-        shuffles spill to ``spill_dir`` (a run-scoped temp dir when
-        ``None``) and bounds ``BatchMapper`` chunk sizes for
-        file-backed splits; ``max_block_rows`` pins the chunk size
-        explicitly.  All ``None`` (default) keeps the in-heap plane.
+        a resident-input budget that bounds ``BatchMapper`` chunk sizes
+        for file-backed splits; ``max_block_rows`` pins the chunk size
+        explicitly.  Both ``None`` (default) deliver whole splits.
     """
 
     def __init__(
@@ -83,7 +81,6 @@ class JobChain:
         resume: bool = False,
         run_id: str | None = None,
         memory_budget_bytes: int | None = None,
-        spill_dir: str | None = None,
         max_block_rows: int | None = None,
     ) -> None:
         if isinstance(runtime, RuntimeContext):
@@ -100,7 +97,6 @@ class JobChain:
         self.checkpoint = checkpoint
         self.resume = resume
         self.memory_budget_bytes = memory_budget_bytes
-        self.spill_dir = spill_dir
         self.max_block_rows = max_block_rows
         self._fingerprint = ""
 
@@ -120,7 +116,6 @@ class JobChain:
             num_reducers=num_reducers,
             max_block_rows=self.max_block_rows,
             memory_budget_bytes=self.memory_budget_bytes,
-            spill_dir=self.spill_dir,
             extra=extra,
         )
         if self.checkpoint is not None:

@@ -46,18 +46,16 @@ class Counters:
     # Well-known counter names, mirroring Hadoop's task counters.
     MAP_INPUT_RECORDS = "map_input_records"
     MAP_OUTPUT_RECORDS = "map_output_records"
-    COMBINE_OUTPUT_RECORDS = "combine_output_records"
     SHUFFLE_RECORDS = "shuffle_records"
-    #: Estimated shuffle payload volume (columnar blocks by ``nbytes``,
-    #: tuple buckets by a per-pair pickled-size estimate).
+    #: Estimated shuffle payload volume (a per-pair pickled-size
+    #: estimate, see :func:`repro.mapreduce.types.bucket_nbytes`).
     SHUFFLE_BYTES = "shuffle_bytes"
     REDUCE_INPUT_GROUPS = "reduce_input_groups"
     REDUCE_OUTPUT_RECORDS = "reduce_output_records"
-    #: Compressed bytes written to shuffle spill segments (map tasks
-    #: whose columnar payload crossed ``JobConf.memory_budget_bytes``).
+    #: Never incremented: the shuffle keeps every pair in memory.  Kept
+    #: only because ``perfbench/ledger.py`` reads it for its
+    #: ``runtime.spilled_mb`` row, which therefore reads 0.
     SPILLED_BYTES = "spilled_bytes"
-    #: Spill segment files written by over-budget map tasks.
-    SPILL_SEGMENTS = "spill_segments"
     TASK_RETRIES = "task_retries"
     FRAMEWORK = "framework"
     #: Service-plane accounting (the scheduler's fair-share slot pool

@@ -197,7 +197,6 @@ class EventLog:
 _COUNTER_LABELS = {
     "map_input_records": "map_in",
     "map_output_records": "map_out",
-    "combine_output_records": "combine_out",
     "shuffle_records": "shuffle",
     "shuffle_bytes": "shuffle_b",
     "reduce_input_groups": "reduce_groups",

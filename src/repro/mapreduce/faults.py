@@ -199,36 +199,9 @@ def _truncate_payload(payload: Any) -> Any:
 
     Models a truncated shuffle partition.  The counters the task
     reported still claim the full record count, which is exactly what
-    the runtime's shuffle-integrity validation catches.  Understands
-    both shuffle bucket representations: a tuple bucket loses its last
-    pair, a :class:`~repro.mapreduce.types.ColumnarBucket` its last
-    key/value row — so corrupt-fault coverage does not regress when the
-    columnar plane is on.
+    the runtime's shuffle-integrity validation catches.
     """
-    from repro.mapreduce.spill import SpilledBucket
-    from repro.mapreduce.types import ColumnarBucket
-
-    columnar_like = (ColumnarBucket, SpilledBucket)
     if not isinstance(payload, list) or not payload:
-        return payload
-    if all(
-        isinstance(bucket, (list, *columnar_like)) for bucket in payload
-    ) and any(isinstance(bucket, columnar_like) for bucket in payload):
-        # Pre-partitioned bucket payload with at least one columnar (or
-        # spilled-columnar) bucket: truncate the last non-empty bucket
-        # in its own representation.  A spilled bucket is rehydrated
-        # and truncated in heap — the count mismatch against the task's
-        # counters is what integrity validation catches either way.
-        for pos in range(len(payload) - 1, -1, -1):
-            bucket = payload[pos]
-            if len(bucket):
-                corrupted = list(payload)
-                corrupted[pos] = (
-                    bucket.truncated()
-                    if isinstance(bucket, columnar_like)
-                    else bucket[:-1]
-                )
-                return corrupted
         return payload
     if all(isinstance(bucket, list) for bucket in payload):
         # Pre-partitioned bucket list (reduce job): truncate the last

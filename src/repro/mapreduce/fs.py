@@ -505,7 +505,7 @@ def chain_fingerprint(
         if isinstance(value, (str, int, float, bool, type(None)))
     }
     conf_token = (
-        f"{conf.num_splits}:{conf.num_reducers}:{conf.sort_keys}:"
+        f"{conf.num_splits}:{conf.num_reducers}:"
         f"{json.dumps(simple_extra, sort_keys=True)}"
     )
     hasher.update(conf_token.encode("utf-8"))

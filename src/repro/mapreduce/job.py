@@ -1,13 +1,16 @@
-"""Task contracts: Mapper, Combiner, Reducer, Partitioner and Context.
+"""Task contracts: Mapper, Reducer, Partitioner and Context.
 
 These mirror the Hadoop programming model.  A job is a bundle of task
 classes plus a :class:`~repro.mapreduce.types.JobConf`; the runtime in
 :mod:`repro.mapreduce.runtime` drives the lifecycle::
 
     mapper.setup(ctx); mapper.map(k, v, ctx) per record; mapper.cleanup(ctx)
-    combiner.combine(k, values, ctx)         per map-task key group
     partitioner.partition(k, n)              per intermediate pair
     reducer.setup(ctx); reducer.reduce(k, values, ctx); reducer.cleanup(ctx)
+
+There is no combiner stage: the P3C+-MR mappers aggregate their split
+in memory and emit from ``cleanup`` (in-mapper combining), so each map
+task ships one pair per key already.
 """
 
 from __future__ import annotations
@@ -145,114 +148,6 @@ class Reducer:
         pass
 
 
-class Combiner:
-    """Optional map-side pre-aggregation.
-
-    A well-formed combiner must be associative and commutative in the
-    values and must emit pairs with the *same* key it received, so that
-    running it zero, one or many times leaves reducer input semantics
-    unchanged.  The runtime asserts the key constraint.
-    """
-
-    def combine(self, key: Any, values: list[Any], context: Context) -> None:
-        raise NotImplementedError
-
-
-class ArraySumCombiner(Combiner):
-    """Sums fixed-shape ndarray values per key, with a vectorized path.
-
-    The scalar :meth:`combine` below is the semantic oracle: a single
-    value passes through unchanged, multiple values fold left to right
-    into a fresh array (the ``mr/aggregate.sum_partials`` contract —
-    shuffled value objects are never mutated, so retries stay pure).
-    When a map task's emitted pairs are uniform, the runtime bypasses
-    the per-key-group Python loop and calls :func:`fold_uniform_pairs`,
-    which produces bitwise-identical output via one argsort plus a
-    per-group sequential ``np.cumsum`` fold.
-    """
-
-    def combine(self, key: Any, values: list[Any], context: Context) -> None:
-        if len(values) == 1:
-            context.emit(key, values[0])
-            return
-        total = values[0].copy()
-        for value in values[1:]:
-            np.add(total, value, out=total)
-        context.emit(key, total)
-
-
-def fold_uniform_pairs(
-    pairs: list[tuple[Any, Any]],
-) -> list[tuple[Any, Any]] | None:
-    """Vectorized per-key sum of uniform ``(key, ndarray)`` pairs.
-
-    Applies when every key has the same type and maps to a clean numpy
-    scalar/string array element, and every value is an ndarray of one
-    shared shape and dtype.  Keys are ordered with a single argsort and
-    value rows folded per group with ``np.cumsum`` (taking the last
-    row); a cumulative sum must produce every prefix, so it accumulates
-    strictly left to right and each group's fold is bitwise equal to
-    the loop in :meth:`ArraySumCombiner.combine`.  (``np.add.reduceat``
-    and ``np.sum`` are faster but may sum pairwise, which changes float
-    rounding.)  Output order (sorted by key) and
-    the emitted key objects (first occurrence per group) match the
-    scalar path driven by :func:`group_sorted_pairs`.  Returns ``None``
-    when the pairs are not eligible; the caller falls back to the
-    scalar oracle.
-    """
-    if len(pairs) < 2:
-        return None
-    first_key, first_value = pairs[0]
-    key_type = type(first_key)
-    if (
-        not isinstance(first_value, np.ndarray)
-        or first_value.ndim < 1
-        or first_value.dtype.hasobject
-    ):
-        return None
-    for key, value in pairs:
-        if type(key) is not key_type:
-            return None
-        if (
-            not isinstance(value, np.ndarray)
-            or value.shape != first_value.shape
-            or value.dtype != first_value.dtype
-        ):
-            return None
-    try:
-        key_arr = np.asarray([key for key, _ in pairs])
-    except (ValueError, TypeError):
-        return None
-    if key_arr.shape != (len(pairs),) or key_arr.dtype.kind not in "biufSU":
-        return None
-    if key_arr.dtype.kind == "f" and np.isnan(key_arr).any():
-        return None  # NaN breaks ordering/equality; keep the oracle path
-    # kind="stable" matches the Python sort's tie order (first occurrence
-    # leads its group), which fixes which key *object* gets re-emitted.
-    order = np.argsort(key_arr, kind="stable")
-    sorted_keys = key_arr[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    )
-    stacked = np.stack([value for _, value in pairs])[order]
-    out: list[tuple[Any, Any]] = []
-    for pos, start in enumerate(starts):
-        key_obj = pairs[int(order[start])][0]
-        end = int(starts[pos + 1]) if pos + 1 < len(starts) else len(pairs)
-        if end - start == 1:
-            # Single-value groups pass the original object through,
-            # matching the scalar path (and avoiding a -0.0 + x rewrite).
-            out.append((key_obj, pairs[int(order[start])][1]))
-        else:
-            # dtype pinned so small ints wrap exactly like the scalar
-            # combiner instead of cumsum's default platform-int upcast.
-            folded = np.cumsum(
-                stacked[int(start):end], axis=0, dtype=stacked.dtype
-            )[-1]
-            out.append((key_obj, folded))
-    return out
-
-
 class Partitioner:
     """Maps an intermediate key to a reduce partition."""
 
@@ -305,7 +200,6 @@ class Job:
 
     mapper_factory: Callable[[], Mapper]
     reducer_factory: Callable[[], Reducer] | None = None
-    combiner_factory: Callable[[], Combiner] | None = None
     partitioner: Partitioner = field(default_factory=HashPartitioner)
     cache: DistributedCache = field(default_factory=DistributedCache)
 
@@ -331,17 +225,12 @@ def make_sort_key(key: Any) -> Any:
 
 def group_sorted_pairs(
     pairs: list[tuple[Any, Any]],
-    sort_keys: bool = True,
 ) -> Iterable[tuple[Any, list[Any]]]:
-    """Sort pairs by key (if requested) and group values per key."""
+    """Sort pairs by key and group values per key.
+
+    The sort is stable, so one key's values keep their arrival order
+    (map-task order in a reduce partition).
+    """
     from repro.mapreduce.types import iter_grouped
 
-    if sort_keys:
-        pairs = sorted(pairs, key=lambda kv: make_sort_key(kv[0]))
-    else:
-        # Stable grouping without total order: bucket by first occurrence.
-        order: dict[Any, int] = {}
-        for key, _ in pairs:
-            order.setdefault(key, len(order))
-        pairs = sorted(pairs, key=lambda kv: order[kv[0]])
-    return iter_grouped(pairs)
+    return iter_grouped(sorted(pairs, key=lambda kv: make_sort_key(kv[0])))

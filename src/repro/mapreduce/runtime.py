@@ -1,4 +1,4 @@
-"""Job execution: split -> map (+combine, +partition) -> shuffle -> reduce.
+"""Job execution: split -> map (+partition) -> shuffle -> reduce.
 
 The runtime is layered:
 
@@ -8,7 +8,8 @@ The runtime is layered:
 - :class:`Shuffle` partitions intermediate pairs *inside each map
   task* (map-side partitioning: pre-partitioned output crosses the
   process boundary once and makes per-partition reduce scheduling
-  natural) and merges the per-task partition lists between phases;
+  natural) and concatenates the per-task partition lists between
+  phases;
 - this module composes them: both the map and the reduce phase run
   through the same executor, so reducers parallelise exactly like
   mappers, and the reduce phase starts only once every map task has
@@ -30,10 +31,6 @@ included) and every attempt is visible in the runtime's event stream.
 from __future__ import annotations
 
 import itertools
-import os
-import re
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
@@ -50,28 +47,17 @@ from repro.mapreduce.executors import (
 )
 from repro.mapreduce.faults import ChaosExecutor, FaultPlan
 from repro.mapreduce.job import (
-    ArraySumCombiner,
     BatchMapper,
     Context,
     Job,
     Partitioner,
-    fold_uniform_pairs,
     group_sorted_pairs,
 )
-from repro.mapreduce.spill import (
-    DEFAULT_SEGMENT_BYTES,
-    SpilledBucket,
-    SpilledPartition,
-    spill_bucket,
-)
 from repro.mapreduce.types import (
-    ColumnarBucket,
     InputSplit,
     JobConf,
     bucket_nbytes,
-    bucket_pairs,
     iter_split_blocks,
-    pack_pairs,
 )
 
 #: Backwards-compatible alias; the canonical name lives on ``Counters``.
@@ -140,50 +126,22 @@ class Shuffle:
     """Partitioning of intermediate pairs, split across the two sides.
 
     ``scatter`` runs map-side, inside each map task: it fans the task's
-    pairs out into ``num_partitions`` buckets and accounts for the
+    pairs out into ``num_partitions`` pair lists and accounts for the
     shuffle volume in the task's own counters.  ``gather`` runs in the
-    runtime between the phases: it concatenates the per-task buckets
-    into one partition payload each (in task order, preserving
-    determinism).
-
-    With ``columnar=True`` a bucket whose pairs are uniform —
-    scalar/tuple keys, fixed-shape ndarray values — is packed into a
-    :class:`~repro.mapreduce.types.ColumnarBucket`, so ``gather``
-    concatenates value blocks instead of pair lists and the process
-    executor ships one out-of-band buffer per bucket.  Anything
-    non-uniform keeps the ``list[tuple]`` representation, which doubles
-    as the parity oracle in tests.
-
-    With a ``spill_budget_bytes`` *and* a ``spill_dir``, ``scatter``
-    additionally bounds the task's resident payload: columnar buckets
-    that would push the retained bytes past the budget are written as
-    compressed segment files (:mod:`repro.mapreduce.spill`) and
-    replaced by :class:`~repro.mapreduce.spill.SpilledBucket` stand-ins.
-    ``shuffle_bytes`` keeps counting logical payload, so spilled runs
-    stay comparable — and byte-identical in output — to in-heap runs.
+    runtime between the phases: it concatenates the per-task lists
+    into one partition each, in task order, so the reducers' input is
+    deterministic.
     """
 
-    def __init__(
-        self,
-        partitioner: Partitioner,
-        num_partitions: int,
-        columnar: bool = True,
-        spill_dir: str | None = None,
-        spill_budget_bytes: int | None = None,
-        spill_tag: str = "task",
-    ) -> None:
+    def __init__(self, partitioner: Partitioner, num_partitions: int) -> None:
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         self.partitioner = partitioner
         self.num_partitions = num_partitions
-        self.columnar = columnar
-        self.spill_dir = spill_dir
-        self.spill_budget_bytes = spill_budget_bytes
-        self.spill_tag = spill_tag
 
     def scatter(
         self, pairs: list[tuple[Any, Any]], counters: Counters
-    ) -> list[Any]:
+    ) -> list[list[tuple[Any, Any]]]:
         buckets: list[list[tuple[Any, Any]]] = [
             [] for _ in range(self.num_partitions)
         ]
@@ -196,99 +154,23 @@ class Shuffle:
                 )
             buckets[pid].append((key, value))
         counters.increment(Counters.FRAMEWORK, Counters.SHUFFLE_RECORDS, len(pairs))
-        spillable = (
-            self.spill_dir is not None and self.spill_budget_bytes is not None
-        )
-        payload: list[Any] = []
-        shuffled_bytes = 0
-        retained_bytes = 0
-        spilled_disk_bytes = 0
-        spill_segments = 0
-        for pid, bucket in enumerate(buckets):
-            packed = pack_pairs(bucket) if self.columnar else None
-            chosen: Any = packed if packed is not None else bucket
-            size = bucket_nbytes(chosen)
-            shuffled_bytes += size
-            if (
-                spillable
-                and isinstance(chosen, ColumnarBucket)
-                and len(chosen) > 0
-                and retained_bytes + size > self.spill_budget_bytes
-            ):
-                # Over budget: this bucket's block moves to disk.  Only
-                # columnar buckets spill — tuple buckets are the parity
-                # oracle and jobs that hit them are small by design.
-                spilled = spill_bucket(
-                    chosen,
-                    self.spill_dir,
-                    f"{self.spill_tag}-p{pid}",
-                    segment_bytes=min(
-                        DEFAULT_SEGMENT_BYTES, self.spill_budget_bytes
-                    ),
-                )
-                spilled_disk_bytes += spilled.disk_bytes
-                spill_segments += len(spilled.segments)
-                chosen = spilled
-            else:
-                retained_bytes += size
-            payload.append(chosen)
         counters.increment(
-            Counters.FRAMEWORK, Counters.SHUFFLE_BYTES, shuffled_bytes
+            Counters.FRAMEWORK, Counters.SHUFFLE_BYTES, bucket_nbytes(pairs)
         )
-        if spill_segments:
-            counters.increment(
-                Counters.FRAMEWORK, Counters.SPILLED_BYTES, spilled_disk_bytes
-            )
-            counters.increment(
-                Counters.FRAMEWORK, Counters.SPILL_SEGMENTS, spill_segments
-            )
-        return payload
+        return buckets
 
     @staticmethod
     def gather(
-        task_buckets: Sequence[Sequence[Any]],
+        task_buckets: Sequence[Sequence[list[tuple[Any, Any]]]],
         num_partitions: int,
-    ) -> list[Any]:
-        partitions: list[Any] = []
-        for pid in range(num_partitions):
-            chunks = [
-                buckets[pid] for buckets in task_buckets if len(buckets[pid])
-            ]
-            partitions.append(Shuffle.merge_buckets(chunks))
+    ) -> list[list[tuple[Any, Any]]]:
+        partitions: list[list[tuple[Any, Any]]] = [
+            [] for _ in range(num_partitions)
+        ]
+        for buckets in task_buckets:
+            for partition, bucket in zip(partitions, buckets):
+                partition.extend(bucket)
         return partitions
-
-    @staticmethod
-    def merge_buckets(
-        chunks: Sequence[Any],
-    ) -> Any:
-        """Merge one partition's task-ordered bucket chunks.
-
-        All-columnar chunks with a shared value dtype/shape concatenate
-        into one block; chunks containing a spilled bucket stay lazy as
-        a :class:`~repro.mapreduce.spill.SpilledPartition` (segments
-        are only materialised reducer-side, one at a time); any other
-        mix degrades to the tuple representation.
-        """
-        if chunks and all(isinstance(c, ColumnarBucket) for c in chunks):
-            first = chunks[0]
-            if all(
-                c.block.dtype == first.block.dtype
-                and c.block.shape[1:] == first.block.shape[1:]
-                for c in chunks[1:]
-            ):
-                return ColumnarBucket.concat(list(chunks))
-        if (
-            chunks
-            and any(isinstance(c, SpilledBucket) for c in chunks)
-            and all(
-                isinstance(c, (ColumnarBucket, SpilledBucket)) for c in chunks
-            )
-        ):
-            return SpilledPartition(tuple(chunks))
-        merged: list[tuple[Any, Any]] = []
-        for chunk in chunks:
-            merged.extend(bucket_pairs(chunk))
-        return merged
 
 
 @dataclass
@@ -360,12 +242,12 @@ def _run_map_task(
 ) -> tuple[Any, Counters, float]:
     """Execute one mapper task over one split.
 
-    Runs the mapper lifecycle, the optional combiner, and — for jobs
-    with a reduce phase — map-side partitioning.  The payload is a flat
-    pair list for map-only jobs and a per-partition bucket list
-    otherwise.  A :class:`BatchMapper` receives the split as one block,
-    or — under ``max_block_rows`` / a memory budget — as a stream of
-    bounded chunks (multiple ``map_batch`` calls per task).
+    Runs the mapper lifecycle and — for jobs with a reduce phase —
+    map-side partitioning.  The payload is a flat pair list for
+    map-only jobs and a per-partition bucket list otherwise.  A
+    :class:`BatchMapper` receives the split as one block, or — under
+    ``max_block_rows`` / a memory budget — as a stream of bounded
+    chunks (multiple ``map_batch`` calls per task).
     """
     started = time.perf_counter()
     counters = Counters()
@@ -391,44 +273,11 @@ def _run_map_task(
     counters.increment(Counters.FRAMEWORK, Counters.MAP_INPUT_RECORDS, n_records)
     counters.increment(Counters.FRAMEWORK, Counters.MAP_OUTPUT_RECORDS, len(pairs))
 
-    if job.combiner_factory is not None and pairs:
-        combiner = job.combiner_factory()
-        combined: list[tuple[Any, Any]] | None = None
-        if isinstance(combiner, ArraySumCombiner) and conf.sort_keys:
-            # Vectorized fast path: one argsort + per-group np.cumsum
-            # fold over uniform pairs, bitwise-identical to the scalar
-            # loop below (the oracle for anything non-uniform).
-            combined = fold_uniform_pairs(pairs)
-        if combined is None:
-            combine_ctx = Context(
-                job.cache, counters, task_id=split.split_id, conf=conf
-            )
-            for key, values in group_sorted_pairs(pairs, conf.sort_keys):
-                combiner.combine(key, values, combine_ctx)
-            combined = combine_ctx.drain()
-            emitted_keys = {k for k, _ in pairs}
-            for key, _ in combined:
-                if key not in emitted_keys:
-                    raise ValueError(
-                        f"combiner emitted new key {key!r}; combiners must "
-                        "preserve the key space of their input"
-                    )
-        pairs = combined
-        counters.increment(
-            Counters.FRAMEWORK, Counters.COMBINE_OUTPUT_RECORDS, len(pairs)
-        )
-
     payload: Any = pairs
     if conf.num_reducers > 0 and job.reducer_factory is not None:
-        shuffle = Shuffle(
-            job.partitioner,
-            conf.num_reducers,
-            columnar=conf.columnar_shuffle,
-            spill_dir=conf.spill_dir,
-            spill_budget_bytes=conf.memory_budget_bytes,
-            spill_tag=f"{conf.name}-m{split.split_id}",
+        payload = Shuffle(job.partitioner, conf.num_reducers).scatter(
+            pairs, counters
         )
-        payload = shuffle.scatter(pairs, counters)
     return payload, counters, time.perf_counter() - started
 
 
@@ -441,7 +290,6 @@ def _map_payload_validator(job: Job, conf: JobConf):
     attempt (see :class:`ShuffleIntegrityError`).
     """
     reduce_job = conf.num_reducers > 0 and job.reducer_factory is not None
-    has_combiner = job.combiner_factory is not None
 
     def validate(payload: Any, task_counters: Counters) -> None:
         if reduce_job:
@@ -454,13 +302,7 @@ def _map_payload_validator(job: Job, conf: JobConf):
             expected = task_counters.framework_value(Counters.SHUFFLE_RECORDS)
         else:
             found = len(payload)
-            emitted = task_counters.framework_value(Counters.MAP_OUTPUT_RECORDS)
-            if has_combiner and emitted > 0:
-                expected = task_counters.framework_value(
-                    Counters.COMBINE_OUTPUT_RECORDS
-                )
-            else:
-                expected = emitted
+            expected = task_counters.framework_value(Counters.MAP_OUTPUT_RECORDS)
         if found != expected:
             raise ShuffleIntegrityError(
                 f"map task payload carries {found} records but its counters "
@@ -473,24 +315,18 @@ def _map_payload_validator(job: Job, conf: JobConf):
 def _run_reduce_task(
     job: Job,
     partition_id: int,
-    bucket: "ColumnarBucket | list[tuple[Any, Any]]",
+    pairs: list[tuple[Any, Any]],
     conf: JobConf,
 ) -> tuple[list[tuple[Any, Any]], Counters, float]:
-    """Execute one reducer task over one shuffled partition.
-
-    The partition arrives in either shuffle representation; a columnar
-    bucket is unpacked into ``(key, value_row)`` view pairs here, so
-    reducers observe exactly the tuple-path input.
-    """
+    """Execute one reducer task over one shuffled partition."""
     started = time.perf_counter()
     counters = Counters()
-    pairs = bucket_pairs(bucket)
     ctx = Context(job.cache, counters, task_id=partition_id, conf=conf)
     assert job.reducer_factory is not None
     reducer = job.reducer_factory()
     reducer.setup(ctx)
     n_groups = 0
-    for key, values in group_sorted_pairs(pairs, conf.sort_keys):
+    for key, values in group_sorted_pairs(pairs):
         reducer.reduce(key, values, ctx)
         n_groups += 1
     reducer.cleanup(ctx)
@@ -500,30 +336,6 @@ def _run_reduce_task(
         Counters.FRAMEWORK, Counters.REDUCE_OUTPUT_RECORDS, len(output)
     )
     return output, counters, time.perf_counter() - started
-
-
-_SPILL_IDS = itertools.count(1)
-
-
-def _prepare_spill(conf: JobConf) -> tuple[JobConf, str]:
-    """Resolve the run-scoped spill directory for one budgeted job.
-
-    ``spill_dir=None`` gets a fresh temporary directory; a user-given
-    root gets a job-unique subdirectory (job name, pid, sequence
-    number) so retries, speculative attempts and concurrent jobs
-    sharing the root never collide on segment files.  The caller owns
-    the returned directory and removes it when the job finishes —
-    orphans from killed attempts vanish with it.
-    """
-    safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", conf.name) or "job"
-    if conf.spill_dir is None:
-        path = tempfile.mkdtemp(prefix=f"repro-spill-{safe}-")
-    else:
-        path = os.path.join(
-            conf.spill_dir, f"{safe}-{os.getpid()}-{next(_SPILL_IDS)}"
-        )
-        os.makedirs(path, exist_ok=True)
-    return replace(conf, spill_dir=path), path
 
 
 def _resolve_broadcast(job: Job, executor: Executor) -> Job:
@@ -652,26 +464,6 @@ class MapReduceRuntime:
 
     def run(self, job: Job, splits: Sequence[InputSplit], conf: JobConf) -> JobResult:
         """Run one job over pre-computed input splits."""
-        spill_root: str | None = None
-        if (
-            conf.memory_budget_bytes is not None
-            and conf.num_reducers > 0
-            and job.reducer_factory is not None
-        ):
-            # Resolve the job's spill directory up front so every task
-            # (local or in a pool worker) sees the same path via conf;
-            # the whole tree goes away with the job, orphaned segments
-            # from retried or speculative attempts included.
-            conf, spill_root = _prepare_spill(conf)
-        try:
-            return self._run(job, splits, conf)
-        finally:
-            if spill_root is not None:
-                shutil.rmtree(spill_root, ignore_errors=True)
-
-    def _run(
-        self, job: Job, splits: Sequence[InputSplit], conf: JobConf
-    ) -> JobResult:
         started = time.perf_counter()
         counters = Counters()
         executor = self.default_executor

@@ -1,5 +1,5 @@
-"""Core value types of the MapReduce runtime: splits, shuffle buckets
-and job configuration."""
+"""Core value types of the MapReduce runtime: splits, shuffle-volume
+estimates and job configuration."""
 
 from __future__ import annotations
 
@@ -8,140 +8,36 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: Key types eligible for columnar packing: cheap to keep as a Python
-#: list while the value block travels as one ndarray.
-_PACKABLE_KEY_TYPES = (str, bool, int, float, tuple, np.generic)
-
-
-@dataclass
-class ColumnarBucket:
-    """One shuffle partition's pairs in columnar form.
-
-    ``keys`` keeps the *original* key objects (a short Python list —
-    the hot jobs emit a handful of aggregate keys per task), so
-    unpacking reproduces the tuple-path pairs byte for byte; ``block``
-    stacks the pair values into one ``(n, *value_shape)`` ndarray.  A
-    single contiguous block is what makes the shuffle cheap: ``gather``
-    concatenates arrays instead of extending pair lists, and on the
-    process executor the block leaves the pickle stream out-of-band
-    (pickle protocol 5), so shuffled bytes shrink to the data itself
-    instead of one pickled ndarray header per pair.
-    """
-
-    keys: list[Any]
-    block: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __iter__(self) -> Iterator[tuple[Any, np.ndarray]]:
-        return zip(self.keys, self.block)
-
-    def pairs(self) -> list[tuple[Any, np.ndarray]]:
-        """The tuple-path view: ``(key, value_row)`` pairs in order."""
-        return list(zip(self.keys, self.block))
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate shuffled payload size (block + 8 bytes per key)."""
-        return int(self.block.nbytes) + 8 * len(self.keys)
-
-    def truncated(self) -> "ColumnarBucket":
-        """Drop the trailing pair (the corrupt-fault injection shape)."""
-        return ColumnarBucket(self.keys[:-1], self.block[:-1])
-
-    @classmethod
-    def concat(cls, buckets: Sequence["ColumnarBucket"]) -> "ColumnarBucket":
-        """Concatenate task-ordered buckets into one partition bucket."""
-        if len(buckets) == 1:
-            return buckets[0]
-        keys: list[Any] = []
-        for bucket in buckets:
-            keys.extend(bucket.keys)
-        return cls(keys, np.concatenate([b.block for b in buckets]))
-
-
-def pack_pairs(pairs: list[tuple[Any, Any]]) -> ColumnarBucket | None:
-    """Pack a uniform pair list into a :class:`ColumnarBucket`.
-
-    Eligible pairs have scalar/tuple keys and fixed-shape ndarray
-    values (same shape *and* dtype, at least 1-D, no object dtype) —
-    true for the histogram, support, EM-sum and attribute-inspection
-    emissions.  Returns ``None`` for anything else; the caller keeps
-    the ``list[tuple]`` path, which stays the parity oracle.
-    """
-    if not pairs:
-        return None
-    first = pairs[0][1]
-    if (
-        not isinstance(first, np.ndarray)
-        or first.ndim < 1
-        or first.dtype.hasobject
-    ):
-        return None
-    for key, value in pairs:
-        if key is not None and not isinstance(key, _PACKABLE_KEY_TYPES):
-            return None
-        if (
-            not isinstance(value, np.ndarray)
-            or value.shape != first.shape
-            or value.dtype != first.dtype
-        ):
-            return None
-    return ColumnarBucket(
-        [key for key, _ in pairs], np.stack([value for _, value in pairs])
-    )
-
-
-def bucket_pairs(
-    bucket: "ColumnarBucket | list[tuple[Any, Any]]",
-) -> list[tuple[Any, Any]]:
-    """Materialise any bucket representation as a pair list.
-
-    Understands the two in-heap representations plus anything exposing
-    a ``pairs()`` view — the spilled-shuffle handles
-    (:class:`repro.mapreduce.spill.SpilledBucket` /
-    ``SpilledPartition``) materialise here, inside the reduce task.
-    """
-    if isinstance(bucket, ColumnarBucket):
-        return bucket.pairs()
-    if isinstance(bucket, list):
-        return bucket
-    pairs = getattr(bucket, "pairs", None)
-    if pairs is not None:
-        return pairs()
-    return bucket
-
-
-#: Rough pickled-size constants for the tuple-path estimator below:
-#: per-pair tuple/key framing and the per-ndarray pickle header.
+#: Rough pickled-size constants for the estimator below: per-pair
+#: tuple/key framing and the per-ndarray pickle header.
 _PAIR_OVERHEAD_B = 32
 _NDARRAY_HEADER_B = 128
 
 
-def bucket_nbytes(bucket: "ColumnarBucket | list[tuple[Any, Any]]") -> int:
-    """Estimated shuffled bytes of one bucket (feeds ``shuffle_bytes``).
+def _value_nbytes(value: Any) -> int:
+    """Estimated pickled size of one shuffled value: ndarrays by
+    ``nbytes`` plus a header, tuples and lists by their items, a
+    ``range`` (row keys running consecutively) at nothing and any
+    other object at a flat 16 bytes."""
+    if isinstance(value, np.ndarray):
+        return _NDARRAY_HEADER_B + int(value.nbytes)
+    if isinstance(value, (tuple, list)):
+        return sum(_value_nbytes(item) for item in value)
+    if isinstance(value, range):
+        return 0
+    return 16
 
-    Columnar buckets report their block size; tuple buckets are
-    estimated per pair (ndarray values by ``nbytes`` plus a pickle
-    header, anything else at a flat 16 bytes).  An estimator, not an
-    exact wire size — cheap enough for the map hot path and accurate
-    enough to expose the columnar reduction.
+
+def bucket_nbytes(bucket: list[tuple[Any, Any]]) -> int:
+    """Estimated shuffled bytes of a list of pairs (feeds
+    ``shuffle_bytes``).
+
+    An estimator, not an exact wire size: cheap enough for the map hot
+    path, and it prices the arrays nested in tuple and list values
+    (the interval index's packed chunks, tightening's ``(mins, maxs)``)
+    as well as bare ndarray values.
     """
-    if isinstance(bucket, ColumnarBucket):
-        return bucket.nbytes
-    if not isinstance(bucket, list):
-        # Spilled representations report their logical payload size.
-        nbytes = getattr(bucket, "nbytes", None)
-        if nbytes is not None:
-            return int(nbytes)
-    total = 0
-    for _, value in bucket:
-        if isinstance(value, np.ndarray):
-            total += _PAIR_OVERHEAD_B + _NDARRAY_HEADER_B + int(value.nbytes)
-        else:
-            total += _PAIR_OVERHEAD_B + 16
-    return total
+    return sum(_PAIR_OVERHEAD_B + _value_nbytes(value) for _, value in bucket)
 
 
 @dataclass(frozen=True)
@@ -308,29 +204,20 @@ class JobConf:
     name: str = "job"
     num_splits: int = 4
     num_reducers: int = 1
-    sort_keys: bool = True
     #: Hadoop-style task re-execution budget (1 = fail fast).
     max_task_attempts: int = 2
     #: Base delay before a retry; doubles per attempt (0 = immediate).
     retry_backoff_s: float = 0.0
-    #: Pack uniform shuffle buckets into :class:`ColumnarBucket`; the
-    #: tuple path remains the fallback (and the parity oracle in tests).
-    columnar_shuffle: bool = True
     #: Cap on rows per ``BatchMapper.map_batch`` delivery.  ``None``
     #: delivers each split as one block; with a cap the runtime streams
     #: the split in chunks (see :func:`iter_split_blocks`) so a map
     #: task's peak memory is bounded by one chunk, not one split.
     max_block_rows: int | None = None
-    #: Byte budget for a map task's resident shuffle payload.  Columnar
-    #: buckets that would push the task past it spill to compressed
-    #: segment files under ``spill_dir``; also drives a budget-derived
-    #: ``max_block_rows`` for file-backed splits that report their row
-    #: width.  ``None`` keeps the classic all-in-heap data plane.
+    #: Byte budget for a map task's resident input: file-backed splits
+    #: that report their row width are delivered in budget-derived
+    #: chunks (a ``max_block_rows`` of its own).  ``None`` delivers
+    #: whole splits.
     memory_budget_bytes: int | None = None
-    #: Root directory for shuffle spill segments.  ``None`` with a
-    #: memory budget set lets the runtime create (and remove) a
-    #: run-scoped temporary directory per job.
-    spill_dir: str | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

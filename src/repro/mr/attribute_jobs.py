@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.binning import Histogram, bin_index
 from repro.core.types import Interval
 from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
-from repro.mapreduce.job import ArraySumCombiner
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 from repro.mr.aggregate import sum_partials
@@ -73,7 +72,6 @@ def run_cluster_histogram_job(
     job = Job(
         mapper_factory=ClusterHistogramMapper,
         reducer_factory=MatrixSumReducer,
-        combiner_factory=ArraySumCombiner,
         cache=DistributedCache(
             {"membership": membership, "num_bins_by_cluster": num_bins_by_cluster}
         ),

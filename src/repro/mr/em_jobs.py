@@ -51,7 +51,6 @@ import numpy as np
 from repro.core.em import GaussianMixture, nearest_component
 from repro.core.types import Signature
 from repro.mapreduce import BufferedBatchMapper, Context, DistributedCache, Job, Reducer
-from repro.mapreduce.job import ArraySumCombiner
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 from repro.mr.aggregate import sum_partials
@@ -189,7 +188,7 @@ class MomentSumsMapper(BufferedBatchMapper):
     Everything is packed into **one** ``(k + 1, m + 2 + m*m)`` float
     array per split — row ``C`` is ``[l_C | w_C | w_C2 | S_C (flat)]``
     and the last row is ``[log-likelihood, 0, ..., 0]`` — a single
-    fixed-shape value that rides the columnar shuffle plane and adds up
+    fixed-shape value, one shuffled pair per split, that adds up
     across splits.
     """
 
@@ -300,7 +299,6 @@ def run_moment_job(
     job = Job(
         mapper_factory=MomentSumsMapper,
         reducer_factory=MomentSumsReducer,
-        combiner_factory=ArraySumCombiner,
         cache=DistributedCache(cache),
     )
     packed = chain.run(f"{step_prefix}_sums", job, splits).as_dict()[_SUMS_KEY]

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.binning import Histogram, bin_index
 from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
-from repro.mapreduce.job import ArraySumCombiner
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 from repro.mr.aggregate import sum_partials
@@ -115,7 +114,6 @@ def run_histogram_job(
     job = Job(
         mapper_factory=HistogramMapper,
         reducer_factory=HistogramSumReducer,
-        combiner_factory=ArraySumCombiner,
         cache=DistributedCache(cache),
     )
     result = chain.run(step_name, job, splits, num_reducers=1)

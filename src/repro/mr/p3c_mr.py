@@ -98,14 +98,10 @@ class P3CPlusMRConfig:
     #: When set, the fitted model bundle is saved there at the end of
     #: the run and tagged ``latest`` (see ``P3CPlusMR.model_id``).
     model_registry: str | None = None
-    #: Resident-payload byte budget per map task (out-of-core plane):
-    #: over-budget columnar shuffles spill to disk and file-backed
-    #: splits stream to batch mappers in budget-sized chunks.  ``None``
-    #: keeps the all-in-heap data plane.
+    #: Resident-input byte budget per map task (out-of-core plane):
+    #: file-backed splits stream to batch mappers in budget-sized
+    #: chunks.  ``None`` delivers whole splits.
     memory_budget_bytes: int | None = None
-    #: Root directory for shuffle spill segments (``None`` = per-job
-    #: temporary directories).
-    spill_dir: str | None = None
     #: Explicit cap on rows per ``BatchMapper`` delivery (``None`` =
     #: whole-split blocks, or budget-derived chunks when a memory
     #: budget is set).
@@ -191,7 +187,6 @@ class P3CPlusMR:
             resume=mr_config.resume,
             run_id=getattr(self.obs, "run_id", None),
             memory_budget_bytes=mr_config.memory_budget_bytes,
-            spill_dir=mr_config.spill_dir,
             max_block_rows=mr_config.max_block_rows,
         )
         self.chain = chain

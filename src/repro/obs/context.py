@@ -25,9 +25,8 @@ of the hierarchy from the lifecycle stream:
 
 Every job runs its map and reduce phases on either side of one
 barrier, so at most one phase span is open at a time.  The job's
-``framework.shuffle_bytes`` / ``framework.spilled_bytes`` /
-``framework.spill_segments`` counters are mirrored into the matching
-``mr.*`` metrics at job finish.
+``framework.shuffle_bytes`` counter is mirrored into the
+``mr.shuffle_bytes`` metric at job finish.
 
 The bridge registers via ``EventLog.subscribe`` and must be released
 with :meth:`detach` (or the ``finally`` of :meth:`run`) so sinks do not
@@ -69,14 +68,9 @@ class _EventBridge:
                 tracer.end(self.job_span, duration_s=event.duration_s)
                 self.job_span = None
             obs.metrics.count("mr.jobs")
-            for counter, metric in (
-                ("shuffle_bytes", "mr.shuffle_bytes"),
-                ("spilled_bytes", "mr.spilled_bytes"),
-                ("spill_segments", "mr.spill_segments"),
-            ):
-                value = event.counter("framework", counter)
-                if value:
-                    obs.metrics.count(metric, value)
+            shuffle_bytes = event.counter("framework", "shuffle_bytes")
+            if shuffle_bytes:
+                obs.metrics.count("mr.shuffle_bytes", shuffle_bytes)
             obs.resources.sample(event.job, event.time_s + self.offset)
         elif kind == EventKind.PHASE_START:
             self.phase_span = tracer.begin(

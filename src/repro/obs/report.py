@@ -52,12 +52,6 @@ def job_summary(name: str, result: Any) -> dict[str, Any]:
         "shuffled_bytes": result.counters.framework_value(
             Counters.SHUFFLE_BYTES
         ),
-        "spilled_bytes": result.counters.framework_value(
-            Counters.SPILLED_BYTES
-        ),
-        "spill_segments": result.counters.framework_value(
-            Counters.SPILL_SEGMENTS
-        ),
         "map_seconds": round(result.phase_seconds("map"), 6),
         "reduce_seconds": round(result.phase_seconds("reduce"), 6),
         "wall_seconds": round(result.wall_time, 6),
@@ -102,8 +96,6 @@ def build_run_report(
             "mr_jobs": len(jobs),
             "shuffle_records": sum(j["shuffle_records"] for j in jobs),
             "shuffled_bytes": sum(j.get("shuffled_bytes", 0) for j in jobs),
-            "spilled_bytes": sum(j.get("spilled_bytes", 0) for j in jobs),
-            "spill_segments": sum(j.get("spill_segments", 0) for j in jobs),
             "task_attempts": sum(
                 j["map_tasks"] + j["reduce_tasks"] for j in jobs
             ),

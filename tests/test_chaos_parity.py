@@ -37,7 +37,7 @@ NUM_SPLITS = 6
 
 
 class TokenizeMapper(Mapper):
-    """records -> (word_bucket, 1) pairs with a combiner-friendly shape."""
+    """records -> (word_bucket, 1) pairs, many per key and task."""
 
     def map(self, key, value, context):
         context.emit(value % 7, 1)
@@ -364,199 +364,3 @@ def test_vectorized_counts_match_bruteforce():
     assert pickle.loads(outputs) == [
         (repr(sig), expected[sig]) for sig in signatures
     ]
-
-
-# -- columnar vs tuple shuffle-plane parity (property-based) ---------------
-#
-# The tuple plane is the columnar plane's oracle: for any uniform
-# (key, ndarray) workload, packing buckets into ColumnarBucket blocks
-# (plus the vectorized combiner fold) must be byte-invisible in the
-# job output on every executor backend.
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.mapreduce import JobConf
-from repro.mapreduce.job import ArraySumCombiner
-
-
-class ArrayEmitMapper(Mapper):
-    def map(self, key, value, context):
-        inner_key, row = value
-        context.emit(inner_key, row)
-
-
-class ArraySumReducer(Reducer):
-    def reduce(self, key, values, context):
-        total = values[0].copy()
-        for value in values[1:]:
-            total += value
-        context.emit(key, total)
-
-
-def _run_array_job(records, num_reducers, executor, columnar):
-    runtime = MapReduceRuntime(executor=executor, max_workers=2)
-    job = Job(
-        mapper_factory=ArrayEmitMapper,
-        reducer_factory=ArraySumReducer,
-        combiner_factory=ArraySumCombiner,
-    )
-    result = runtime.run(
-        job,
-        split_records(records, 3),
-        JobConf(num_reducers=num_reducers, columnar_shuffle=columnar),
-    )
-    return pickle.dumps(result.output)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 60),
-    d=st.integers(1, 5),
-    num_keys=st.integers(1, 8),
-    num_reducers=st.integers(1, 4),
-    numpy_keys=st.booleans(),
-)
-def test_columnar_plane_matches_tuple_plane(
-    seed, n, d, num_keys, num_reducers, numpy_keys
-):
-    rng = np.random.default_rng(seed)
-    data = rng.uniform(size=(n, d))
-    key_of = (lambda i: np.int64(i % num_keys)) if numpy_keys else (
-        lambda i: int(i % num_keys)
-    )
-    records = [(i, (key_of(i), data[i])) for i in range(n)]
-    oracle = _run_array_job(records, num_reducers, "serial", columnar=False)
-    assert _run_array_job(records, num_reducers, "serial", True) == oracle
-    assert _run_array_job(records, num_reducers, "thread", True) == oracle
-
-
-def test_columnar_plane_matches_tuple_plane_on_process_executor():
-    """One fixed workload through the real pickle-5 process transport.
-
-    Both planes run on the process executor so the transport is held
-    constant: arrays that cross a process boundary come back with a
-    non-singleton dtype instance, which perturbs whole-list pickle
-    memoization against a serial run while every pair stays
-    byte-identical — so the serial oracle is compared pairwise."""
-    rng = np.random.default_rng(7)
-    records = [(i, (int(i % 5), rng.uniform(size=3))) for i in range(40)]
-    columnar = _run_array_job(records, 2, "process", columnar=True)
-    assert columnar == _run_array_job(records, 2, "process", columnar=False)
-    serial = pickle.loads(_run_array_job(records, 2, "serial", columnar=False))
-    assert [pickle.dumps(pair) for pair in pickle.loads(columnar)] == [
-        pickle.dumps(pair) for pair in serial
-    ]
-
-
-# -- spill-to-disk shuffle parity ------------------------------------------
-#
-# The in-heap columnar plane is the spill plane's oracle: with a
-# one-byte memory budget every columnar bucket is written out as
-# compressed npz segments and gathered by streaming concat, and the job
-# output must stay byte-identical — clean and under chaos, on every
-# backend.
-
-
-def _spill_records(n=80, d=4, num_keys=6, seed=21):
-    rng = np.random.default_rng(seed)
-    data = rng.uniform(size=(n, d))
-    return [(i, (int(i % num_keys), data[i])) for i in range(n)]
-
-
-def _run_spill_job(
-    records,
-    num_reducers,
-    executor,
-    spill,
-    fault_spec=None,
-    seed=0,
-    spill_dir=None,
-):
-    plan = FaultPlan.parse(fault_spec, seed=seed) if fault_spec else None
-    runtime = MapReduceRuntime(
-        executor=executor, max_workers=2, fault_plan=plan
-    )
-    job = Job(
-        mapper_factory=ArrayEmitMapper,
-        reducer_factory=ArraySumReducer,
-        combiner_factory=ArraySumCombiner,
-    )
-    conf = JobConf(
-        num_reducers=num_reducers,
-        memory_budget_bytes=1 if spill else None,
-        spill_dir=str(spill_dir) if spill_dir is not None else None,
-    )
-    result = runtime.run(job, split_records(records, 3), conf)
-    return pickle.dumps(result.output), result
-
-
-def test_spill_plane_matches_heap_plane():
-    records = _spill_records()
-    oracle, heap_result = _run_spill_job(records, 3, "serial", spill=False)
-    spilled, result = _run_spill_job(records, 3, "serial", spill=True)
-    assert spilled == oracle
-    assert result.counters.framework_value("spilled_bytes") > 0
-    assert result.counters.framework_value("spill_segments") > 0
-    assert heap_result.counters.framework_value("spilled_bytes") == 0
-    # Spilling must not change the *logical* shuffle volume accounting.
-    assert result.counters.framework_value(
-        "shuffle_bytes"
-    ) == heap_result.counters.framework_value("shuffle_bytes")
-
-
-def test_spill_leaves_no_segments_behind(tmp_path):
-    root = tmp_path / "spill-root"
-    root.mkdir()
-    records = _spill_records()
-    oracle, _ = _run_spill_job(records, 3, "serial", spill=False)
-    spilled, _ = _run_spill_job(
-        records, 3, "serial", spill=True, spill_dir=root
-    )
-    assert spilled == oracle
-    # The user-supplied root survives; the job-scoped subdir (and every
-    # segment in it) is removed when the job finishes.
-    assert root.exists()
-    assert list(root.iterdir()) == []
-
-
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-@pytest.mark.parametrize("seed", [0, 3, 11])
-def test_spill_chaos_matches_heap_plane(executor, seed):
-    records = _spill_records()
-    oracle, _ = _run_spill_job(records, 3, "serial", spill=False)
-    spilled, result = _run_spill_job(
-        records, 3, executor, spill=True, fault_spec=CHAOS_SPEC, seed=seed
-    )
-    assert spilled == oracle
-    assert result.counters.framework_value("spill_segments") > 0
-
-
-def test_spill_process_matches_heap_plane():
-    # Workers spill into the runtime-resolved directory from separate
-    # processes; the reducer side streams them back through pickle-5
-    # transport.  Compared against the process-executor heap run so the
-    # transport is held constant (see the columnar process test above).
-    records = _spill_records()
-    heap, _ = _run_spill_job(records, 2, "process", spill=False)
-    spilled, result = _run_spill_job(records, 2, "process", spill=True)
-    assert spilled == heap
-    assert result.counters.framework_value("spill_segments") > 0
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 50),
-    d=st.integers(1, 4),
-    num_keys=st.integers(1, 6),
-    num_reducers=st.integers(1, 4),
-)
-def test_spill_plane_property_parity(seed, n, d, num_keys, num_reducers):
-    rng = np.random.default_rng(seed)
-    data = rng.uniform(size=(n, d))
-    records = [(i, (int(i % num_keys), data[i])) for i in range(n)]
-    oracle, _ = _run_spill_job(records, num_reducers, "serial", spill=False)
-    spilled, _ = _run_spill_job(records, num_reducers, "serial", spill=True)
-    assert spilled == oracle

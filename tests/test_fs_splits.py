@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.data.io import save_dataset_csv
+from repro.data.io import result_to_dict, save_dataset_csv
 from repro.mapreduce.fs import make_csv_splits
 from repro.mapreduce.types import split_records
 from repro.mr import P3CPlusMRConfig, P3CPlusMRLight
@@ -316,7 +318,7 @@ class TestNpySplits:
 
 
 class TestOutOfCoreClustering:
-    """Bounded-memory delivery and spill must not change the answer."""
+    """Bounded-memory delivery must not change the answer."""
 
     def test_chunked_delivery_matches_whole_split(
         self, csv_file, tiny_dataset
@@ -330,28 +332,43 @@ class TestOutOfCoreClustering:
         ).fit(tiny_dataset.data)
         assert np.array_equal(chunked.labels(), whole.labels())
 
-    def test_memory_budget_matches_in_memory(
-        self, csv_file, tiny_dataset, tmp_path
-    ):
-        """The full out-of-core stack — budget-derived chunking plus
-        spill-to-disk shuffle — reproduces the in-memory clustering."""
-        spill_root = tmp_path / "spill"
-        spill_root.mkdir()
+    def test_memory_budget_matches_in_memory(self, csv_file, tiny_dataset):
+        """Budget-derived chunking of file-backed splits reproduces the
+        in-memory clustering."""
         splits, n, d = make_csv_splits(csv_file, 4)
         bounded = P3CPlusMRLight(
-            mr_config=P3CPlusMRConfig(
-                num_splits=4,
-                memory_budget_bytes=4096,
-                spill_dir=str(spill_root),
-            )
+            mr_config=P3CPlusMRConfig(num_splits=4, memory_budget_bytes=4096)
         ).fit_splits(splits, n, d)
         in_memory = P3CPlusMRLight(
             mr_config=P3CPlusMRConfig(num_splits=4)
         ).fit(tiny_dataset.data)
         assert bounded.num_clusters == in_memory.num_clusters
         assert np.array_equal(bounded.labels(), in_memory.labels())
-        # Every job-scoped spill directory is cleaned up on job exit.
-        assert list(spill_root.iterdir()) == []
+
+    @pytest.mark.parametrize("coreset_size", [None, 400], ids=["mvb", "coreset"])
+    def test_one_byte_budget_on_npy_splits_matches_in_heap_fit(
+        self, small_dataset, tmp_path, coreset_size
+    ):
+        """The exact (MVB) and coreset drivers fitted from npy splits
+        delivered one row per batch return the in-heap fit's result."""
+        from repro.mapreduce.fs import make_npy_splits
+        from repro.mr import P3CPlusMR
+
+        def fit(**mr_kwargs):
+            return P3CPlusMR(
+                mr_config=P3CPlusMRConfig(
+                    num_splits=4, coreset_size=coreset_size, **mr_kwargs
+                )
+            )
+
+        path = tmp_path / "data.npy"
+        np.save(path, small_dataset.data)
+        splits, n, d = make_npy_splits(path, 4, mode="read")
+        budgeted = fit(memory_budget_bytes=1).fit_splits(splits, n, d)
+        in_heap = fit().fit(small_dataset.data)
+        assert json.dumps(result_to_dict(budgeted), sort_keys=True) == json.dumps(
+            result_to_dict(in_heap), sort_keys=True
+        )
 
 
 class TestNonFiniteRows:

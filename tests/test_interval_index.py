@@ -18,7 +18,13 @@ import pytest
 
 from repro.core.types import Interval, IntervalTable, Signature
 from repro.data.io import result_to_dict
-from repro.mapreduce import FaultPlan, JobChain, MapReduceRuntime, split_records
+from repro.mapreduce import (
+    Counters,
+    FaultPlan,
+    JobChain,
+    MapReduceRuntime,
+    split_records,
+)
 from repro.mapreduce.events import EventKind
 from repro.mapreduce.fs import make_npy_splits
 from repro.mapreduce.types import InputSplit
@@ -182,6 +188,23 @@ def test_one_byte_budget_on_npy_splits_matches_in_heap_fit(
     ]
     assert [len(chunks) for chunks in index] == [len(split) for split in splits]
     assert budgeted == _fit(data)[1]
+
+
+def test_shuffle_bytes_price_the_index(small_dataset):
+    """``framework.shuffle_bytes`` of the level-1 proving job counts the
+    packed bitmaps its index records carry."""
+    algo, _ = _fit(small_dataset.data)
+    level_one = algo.chain.steps[1]
+    assert level_one.name == "candidate_proving"
+    bitmap_bytes = sum(
+        bitmaps.nbytes
+        for key, chunks in level_one.result.output
+        if key != "supports"
+        for _, bitmaps in chunks
+    )
+    assert bitmap_bytes > 0
+    shuffled = level_one.result.counters.framework_value(Counters.SHUFFLE_BYTES)
+    assert shuffled >= bitmap_bytes
 
 
 def _weighted_fold(splits, signatures, weights, chunk_rows):

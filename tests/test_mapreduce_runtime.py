@@ -1,5 +1,5 @@
-"""Tests for the MapReduce runtime: golden wordcount, combiners,
-partitioners, counters, map-only jobs and executor equivalence."""
+"""Tests for the MapReduce runtime: golden wordcount, partitioners,
+counters, map-only jobs and executor equivalence."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.mapreduce import (
     BatchMapper,
-    Combiner,
     Context,
     Counters,
     DistributedCache,
@@ -34,16 +33,6 @@ class WordCountMapper(Mapper):
 class SumReducer(Reducer):
     def reduce(self, key: Any, values: list[int], context: Context) -> None:
         context.emit(key, sum(values))
-
-
-class SumCombiner(Combiner):
-    def combine(self, key: Any, values: list[int], context: Context) -> None:
-        context.emit(key, sum(values))
-
-
-class BadCombiner(Combiner):
-    def combine(self, key: Any, values: list[int], context: Context) -> None:
-        context.emit(("rogue", key), sum(values))
 
 
 def _text_splits() -> list[InputSplit]:
@@ -79,53 +68,6 @@ class TestWordCount:
         job = Job(mapper_factory=WordCountMapper, reducer_factory=SumReducer)
         result = runtime.run(job, _text_splits(), JobConf(num_reducers=4))
         assert result.as_dict() == EXPECTED_COUNTS
-
-    def test_combiner_preserves_result(self):
-        runtime = MapReduceRuntime()
-        job = Job(
-            mapper_factory=WordCountMapper,
-            reducer_factory=SumReducer,
-            combiner_factory=SumCombiner,
-        )
-        result = runtime.run(job, _text_splits(), JobConf(num_reducers=2))
-        assert result.as_dict() == EXPECTED_COUNTS
-
-    def test_combiner_reduces_shuffle_volume(self):
-        runtime = MapReduceRuntime()
-        plain = runtime.run(
-            Job(mapper_factory=WordCountMapper, reducer_factory=SumReducer),
-            _text_splits(),
-            JobConf(),
-        )
-        combined = runtime.run(
-            Job(
-                mapper_factory=WordCountMapper,
-                reducer_factory=SumReducer,
-                combiner_factory=SumCombiner,
-            ),
-            _text_splits(),
-            JobConf(),
-        )
-        shuffle = Counters.SHUFFLE_RECORDS
-        assert combined.counters.framework_value(shuffle) < (
-            plain.counters.framework_value(shuffle)
-        )
-
-    def test_rogue_combiner_rejected(self):
-        # A key-inventing combiner is a programming error: the task fails
-        # deterministically, exhausts its retries and kills the job.
-        from repro.mapreduce import TaskFailedError
-
-        runtime = MapReduceRuntime()
-        job = Job(
-            mapper_factory=WordCountMapper,
-            reducer_factory=SumReducer,
-            combiner_factory=BadCombiner,
-        )
-        with pytest.raises(TaskFailedError) as info:
-            runtime.run(job, _text_splits(), JobConf())
-        assert isinstance(info.value.cause, ValueError)
-        assert "combiner" in str(info.value.cause)
 
 
 class TestMapOnly:
@@ -215,61 +157,6 @@ class TestPartitioner:
                 assert partitioner.partition(
                     np_key, num_partitions
                 ) == partitioner.partition(py_key, num_partitions)
-
-
-class TestFoldUniformPairs:
-    """The vectorized combiner fold vs its scalar oracle."""
-
-    def _scalar_fold(self, pairs):
-        from repro.mapreduce.job import ArraySumCombiner, group_sorted_pairs
-
-        combiner = ArraySumCombiner()
-        ctx = Context(DistributedCache(), Counters(), task_id=0)
-        for key, values in group_sorted_pairs(pairs):
-            combiner.combine(key, values, ctx)
-        return ctx.drain()
-
-    @pytest.mark.parametrize("value_shape", [(1,), (4,), (3, 2)])
-    def test_fold_bitwise_matches_scalar_combiner(self, value_shape):
-        """Bitwise, not approximate: the fold must accumulate in the
-        scalar loop's left-to-right order (pairwise summation — as in
-        ``np.add.reduceat``/``np.sum`` — changes float rounding,
-        especially for trailing-size-1 blocks)."""
-        from repro.mapreduce.job import fold_uniform_pairs
-
-        rng = np.random.default_rng(42)
-        pairs = [
-            (int(i % 7), rng.uniform(size=value_shape)) for i in range(500)
-        ]
-        folded = fold_uniform_pairs(pairs)
-        assert folded is not None
-        oracle = self._scalar_fold(pairs)
-        assert [key for key, _ in folded] == [key for key, _ in oracle]
-        for (_, got), (_, want) in zip(folded, oracle):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-
-    def test_small_int_dtype_wraps_like_scalar_fold(self):
-        from repro.mapreduce.job import fold_uniform_pairs
-
-        pairs = [(0, np.array([200], dtype=np.uint8)) for _ in range(3)]
-        folded = fold_uniform_pairs(pairs)
-        oracle = self._scalar_fold(pairs)
-        assert folded[0][1].dtype == np.uint8
-        assert folded[0][1].tobytes() == oracle[0][1].tobytes()
-
-    def test_heterogeneous_pairs_fall_back(self):
-        from repro.mapreduce.job import fold_uniform_pairs
-
-        assert fold_uniform_pairs([]) is None
-        assert fold_uniform_pairs([(0, np.zeros(2))]) is None  # < 2 pairs
-        assert (
-            fold_uniform_pairs([(0, np.zeros(2)), ("k", np.zeros(2))]) is None
-        )
-        assert (
-            fold_uniform_pairs([(0, np.zeros(2)), (1, np.zeros(3))]) is None
-        )
-        assert fold_uniform_pairs([(0, 1), (0, 2)]) is None
 
 
 class TestMultiprocess:

@@ -1,4 +1,5 @@
-"""Tests for input splitting, grouping and job configuration."""
+"""Tests for input splitting, grouping, shuffle-volume estimates and
+job configuration."""
 
 from __future__ import annotations
 
@@ -8,7 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mapreduce.job import group_sorted_pairs, make_sort_key
-from repro.mapreduce.types import InputSplit, JobConf, iter_grouped, split_records
+from repro.mapreduce.types import (
+    InputSplit,
+    JobConf,
+    bucket_nbytes,
+    iter_grouped,
+    split_records,
+)
 
 
 class TestSplitRecords:
@@ -79,14 +86,25 @@ class TestGrouping:
         groups = dict(group_sorted_pairs(pairs))
         assert groups == {1: ["x", "z"], "a": ["y"]}
 
-    def test_group_without_sort_keeps_first_seen_order(self):
-        pairs = [("b", 1), ("a", 2), ("b", 3)]
-        groups = list(group_sorted_pairs(pairs, sort_keys=False))
-        assert groups[0][0] == "b"
-
     def test_make_sort_key_total_order(self):
         keys = [3, "a", (1, 2), 1.5, None]
         assert sorted(keys, key=make_sort_key)  # must not raise
+
+
+class TestBucketNbytes:
+    def test_nested_arrays_are_priced(self):
+        bitmap = np.zeros(100, dtype=np.uint64)
+        bare = bucket_nbytes([("k", bitmap)])
+        assert bare >= bitmap.nbytes
+        assert bucket_nbytes([("k", (bitmap, bitmap))]) >= 2 * bitmap.nbytes
+        chunks = [(range(0, 50), bitmap), (np.arange(7), bitmap)]
+        assert bucket_nbytes([("k", chunks)]) >= 2 * bitmap.nbytes + 7 * 8
+
+    def test_range_of_row_keys_costs_nothing(self):
+        bitmap = np.zeros(100, dtype=np.uint64)
+        assert bucket_nbytes([("k", [(range(0, 10**6), bitmap)])]) == (
+            bucket_nbytes([("k", bitmap)])
+        )
 
 
 class TestJobConf:
