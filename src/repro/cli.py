@@ -72,7 +72,6 @@ class ExecOptions:
     obs: Observability | None = None
     fault_plan: FaultPlan | None = None
     task_timeout_s: float | None = None
-    speculative: bool = False
     checkpoint_dir: str | None = None
     resume: bool = False
     model_registry: str | None = None
@@ -102,7 +101,6 @@ ALGORITHMS: dict[str, Callable[[P3CPlusConfig, ExecOptions], Any]] = {
             max_workers=opts.max_workers,
             fault_plan=opts.fault_plan,
             task_timeout_s=opts.task_timeout_s,
-            speculative=opts.speculative,
             checkpoint_dir=opts.checkpoint_dir,
             resume=opts.resume,
             model_registry=opts.model_registry,
@@ -121,7 +119,6 @@ ALGORITHMS: dict[str, Callable[[P3CPlusConfig, ExecOptions], Any]] = {
             max_workers=opts.max_workers,
             fault_plan=opts.fault_plan,
             task_timeout_s=opts.task_timeout_s,
-            speculative=opts.speculative,
             checkpoint_dir=opts.checkpoint_dir,
             resume=opts.resume,
             model_registry=opts.model_registry,
@@ -260,12 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-attempt task wall-clock budget; attempts exceeding "
         "it fail and retry (mr/mr-light only)",
-    )
-    cluster.add_argument(
-        "--speculative",
-        action="store_true",
-        help="speculatively re-execute straggler tasks, first result "
-        "wins (mr/mr-light only)",
     )
     cluster.add_argument(
         "--checkpoint-dir",
@@ -695,7 +686,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         obs=obs,
         fault_plan=fault_plan,
         task_timeout_s=args.task_timeout,
-        speculative=args.speculative,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         model_registry=args.register,

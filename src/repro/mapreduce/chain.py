@@ -195,14 +195,6 @@ class JobChain:
             for step in self.steps
         )
 
-    def job_summaries(self) -> list[dict[str, Any]]:
-        """Structured per-job accounting rows (the ``jobs`` section of
-        the run report: task counts, shuffle volume, phase seconds and
-        task-duration percentiles per step)."""
-        from repro.obs.report import job_summary
-
-        return [job_summary(step.name, step.result) for step in self.steps]
-
     def report(self) -> str:
         """Human-readable per-step ledger.
 

@@ -42,8 +42,6 @@ class EventKind:
     TASK_FAILED = "task_failed"
     #: An attempt exceeded ``task_timeout_s`` and was abandoned.
     TASK_TIMEOUT = "task_timeout"
-    #: A speculative duplicate of a straggler attempt was dispatched.
-    TASK_SPECULATED = "task_speculated"
     #: The chaos layer scheduled a fault for a task attempt.
     FAULT_INJECTED = "fault_injected"
 

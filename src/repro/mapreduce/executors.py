@@ -1,6 +1,6 @@
 """Pluggable task executors and the unified task lifecycle.
 
-The runtime delegates *how* a batch of tasks runs to an
+The runtime delegates *where* a task attempt runs to an
 :class:`Executor` backend:
 
 ``SerialExecutor``
@@ -13,26 +13,26 @@ The runtime delegates *how* a batch of tasks runs to an
     A process pool for CPU-bound pure-Python tasks.  Task functions,
     their arguments and their outputs must be picklable.
 
-*What* a task's lifecycle is — first attempt, Hadoop-style retry with
-optional exponential backoff, retry counting, per-attempt timeouts,
-speculative re-execution of stragglers, lifecycle events — lives in
-exactly one place, :class:`TaskRunner`, shared by the map and reduce
-phases.  First attempts of a phase are dispatched through the executor
-as one batch; retries re-run in-process (tasks are pure functions of
-their arguments, so the backend cannot change the output).
+*What* a task's lifecycle is — dispatch, Hadoop-style retry, retry
+counting, per-attempt deadlines, lifecycle events — lives in exactly
+one place, :class:`TaskRunner`, shared by the map and reduce phases.
+Every attempt of a phase, first or retry, goes through the same
+dispatch: onto the executor's pool, or inline (tasks are pure
+functions of their arguments, so where an attempt runs cannot change
+the output).
 
 A pool-backed executor starts one pool on first use (:meth:`~Executor.pool`)
 and every phase of every job it runs reuses it, so a job chain pays the
 pool start-up once, not once per job.  :meth:`~Executor.close` joins the
 pool at the end of the chain; a pool that broke (a dead worker) or was
-left running an abandoned attempt is retired instead, and the next batch
-starts a fresh one.
+left running an abandoned attempt is retired instead, and the next
+dispatch starts a fresh one.
 
-Executors also expose two *wrapping hooks* (``wrap_calls`` for a
-phase's first-attempt batch, ``wrap_call`` for individual re-dispatched
-attempts).  The base implementations are the identity, costing nothing;
-:class:`~repro.mapreduce.faults.ChaosExecutor` overrides them to
-inject deterministic faults without the runner knowing chaos exists.
+Executors also expose a *wrapping hook*, ``wrap_call``, applied to
+every dispatched attempt.  The base implementation is the identity,
+costing nothing; :class:`~repro.mapreduce.faults.ChaosExecutor`
+overrides it to inject deterministic faults without the runner knowing
+chaos exists.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from __future__ import annotations
 import os
 import pickle
 import shutil
-import statistics
 import tempfile
 import threading
 import time
 import weakref
 from concurrent.futures import (
-    FIRST_COMPLETED,
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
@@ -114,13 +112,6 @@ class TaskOutcome:
     value: Any = None
     error: Exception | None = None
 
-    @classmethod
-    def capture(cls, fn: Callable[..., Any], args: tuple) -> "TaskOutcome":
-        try:
-            return cls(value=fn(*args))
-        except Exception as error:  # noqa: BLE001 - any task error retries
-            return cls(error=error)
-
 
 class LeaseStats:
     """Thread-safe lease accounting, sampled by the telemetry plane.
@@ -175,12 +166,12 @@ class SlotLease:
     exactly one slot per in-flight task: ``acquire()`` runs before each
     dispatch and ``release()`` when the attempt completes, so a
     scheduler (see :mod:`repro.mapreduce.scheduler`) can interleave
-    task batches from many concurrent chains on one bounded pool.
+    the tasks of many concurrent chains on one bounded pool.
     Implementations must be thread-safe — a chain's driver thread
-    acquires (batch dispatch, the timeout/speculation monitor) while
-    releases arrive on pool callback threads.  No slot is ever held
-    while waiting for another (acquire-per-task, release-at-settle), so
-    leases cannot deadlock across chains.
+    acquires at every dispatch while releases arrive on pool callback
+    threads.  No slot is ever held while waiting for another
+    (acquire-per-task, release-at-settle), so leases cannot deadlock
+    across chains.
     """
 
     _stats_guard = threading.Lock()
@@ -237,61 +228,46 @@ class _LeasedPool:
 
 
 def _run_inline(
-    fn: Callable[..., Any],
-    calls: Sequence[tuple],
-    lease: SlotLease | None,
-) -> list[TaskOutcome]:
-    """In-process batch execution, lease-gated when a lease is set."""
-    if lease is None:
-        return [TaskOutcome.capture(fn, args) for args in calls]
-    outcomes: list[TaskOutcome] = []
-    stats = lease.stats()
-    for args in calls:
+    fn: Callable[..., Any], args: tuple, lease: SlotLease | None
+) -> Future:
+    """Run one attempt in this thread, holding one lease slot when a
+    lease is set; returns its settled future."""
+    future: Future = Future()
+    if lease is not None:
+        stats = lease.stats()
         started = time.monotonic()
         lease.acquire()
         stats.on_acquired(time.monotonic() - started)
-        try:
-            outcomes.append(TaskOutcome.capture(fn, args))
-        finally:
+    try:
+        future.set_result(fn(*args))
+    except Exception as error:  # noqa: BLE001 - any task error retries
+        future.set_exception(error)
+    finally:
+        if lease is not None:
             lease.release()
             stats.on_released()
-    return outcomes
+    return future
 
 
 class Executor:
-    """Backend contract: run a batch of task calls, never raise.
+    """Backend contract: where a task attempt runs.
 
-    ``run_batch`` returns one :class:`TaskOutcome` per call, in call
-    order, regardless of completion order — ordering (and therefore
-    output determinism) is the runner's job, not the backend's.
+    The runner dispatches a phase's attempts to :meth:`submit` when
+    the phase has more than one task and ``max_workers`` > 1, and runs
+    them inline otherwise; ordering (and therefore output determinism)
+    is the runner's job, not the backend's.
     """
 
     name: str = "executor"
 
+    #: Workers of the executor's pool; 1 runs every attempt inline.
+    max_workers: int = 1
+
     #: Optional cooperative admission lease.  When set (by the service
     #: plane), every task dispatch acquires one slot first and releases
     #: it at completion; ``None`` (the default) costs one attribute
-    #: check per batch.
+    #: check per dispatch.
     slot_lease: SlotLease | None = None
-
-    def run_batch(
-        self, fn: Callable[..., Any], calls: Sequence[tuple]
-    ) -> list[TaskOutcome]:
-        raise NotImplementedError
-
-    # -- chaos hooks (identity by default; see faults.ChaosExecutor) ----
-
-    def wrap_calls(
-        self,
-        fn: Callable[..., Any],
-        calls: Sequence[tuple],
-        *,
-        job: str,
-        phase: str,
-        task_ids: Sequence[int],
-    ) -> tuple[Callable[..., Any], Sequence[tuple]]:
-        """Rewrite a phase's first-attempt batch (fault injection hook)."""
-        return fn, calls
 
     def wrap_call(
         self,
@@ -302,27 +278,26 @@ class Executor:
         phase: str,
         task_id: int,
         attempt: int,
-        clean: bool = False,
     ) -> tuple[Callable[..., Any], tuple]:
-        """Rewrite one re-dispatched attempt (retry / speculative copy)."""
+        """Rewrite one dispatched attempt (the fault-injection hook of
+        :class:`~repro.mapreduce.faults.ChaosExecutor`)."""
         return fn, args
 
     # -- pool lifetime ---------------------------------------------------
 
     def pool(self):
-        """The pool every batch and every timed or speculative attempt
-        submits to, started on first use and kept until :meth:`close`;
-        ``None`` for backends without one."""
+        """The pool attempts are submitted to, started on first use and
+        kept until :meth:`close`; ``None`` for backends without one."""
         return None
 
     def retire_pool(self, pool) -> None:
         """Stop using ``pool`` without waiting for it, if it is still
         the current pool: it broke, or an abandoned attempt still runs
-        on it.  The next batch starts a fresh pool."""
+        on it.  The next dispatch starts a fresh pool."""
 
     def close(self) -> None:
         """Join the pool and release what the executor holds; it stays
-        usable and starts a new pool on its next batch."""
+        usable and starts a new pool on its next dispatch."""
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> tuple[Future, Any]:
         """Submit one call to :meth:`pool`; returns its future and the
@@ -338,9 +313,10 @@ class Executor:
         return pool.submit(fn, *args), pool
 
     def outcome(self, future: Future, pool) -> TaskOutcome:
-        """The outcome of a settled future from :meth:`submit`.  A
-        worker that died mid-batch broke ``pool``: it is retired, and
-        the attempt's retry and the next batch run on a fresh one."""
+        """The outcome of an attempt's future, once it settles (``pool``
+        is ``None`` for an inline one).  A worker that died mid-phase broke
+        ``pool``: it is retired, and the attempt's retry and every later
+        dispatch run on a fresh one."""
         try:
             return TaskOutcome(value=future.result())
         except BrokenExecutor as error:
@@ -354,11 +330,6 @@ class SerialExecutor(Executor):
     """In-order, in-process execution — deterministic, zero overhead."""
 
     name = "serial"
-
-    def run_batch(
-        self, fn: Callable[..., Any], calls: Sequence[tuple]
-    ) -> list[TaskOutcome]:
-        return _run_inline(fn, calls, self.slot_lease)
 
 
 class _PoolExecutor(Executor):
@@ -399,15 +370,6 @@ class _PoolExecutor(Executor):
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def run_batch(
-        self, fn: Callable[..., Any], calls: Sequence[tuple]
-    ) -> list[TaskOutcome]:
-        if len(calls) <= 1 or self.max_workers == 1:
-            # A pool buys nothing for a single task; skip its overhead.
-            return _run_inline(fn, calls, self.slot_lease)
-        submitted = [self.submit(fn, *args) for args in calls]
-        return [self.outcome(future, pool) for future, pool in submitted]
-
 
 class ThreadExecutor(_PoolExecutor):
     """Thread-pool backend for GIL-releasing (NumPy-heavy) tasks."""
@@ -420,24 +382,17 @@ class ThreadExecutor(_PoolExecutor):
 
 # -- process-executor data plane ----------------------------------------
 #
-# Two costs dominate process-pool dispatch on cache-heavy jobs:
-#
-# 1. the distributed cache (RSSC tables, candidate sets, GMM params)
-#    used to be re-pickled into *every* task's arguments;
-# 2. ndarray split payloads were serialised inline into the pickle
-#    stream.
-#
-# The broadcast below localises each cache once, as Hadoop's
-# DistributedCache does: the executor writes it to a file keyed by its
-# content fingerprint, and each worker loads that file the first time a
-# task asks for it, while tasks carry only a :class:`CacheHandle`.
-# Workers outlive many jobs, so caches cannot ride the pool initializer.
-# Argument packing uses pickle protocol 5 so ndarray buffers travel
-# out-of-band instead of being copied through the pickle stream.
+# The distributed cache (RSSC tables, candidate sets, GMM params) would
+# otherwise be re-pickled into *every* task's arguments.  The broadcast
+# below localises each cache once, as Hadoop's DistributedCache does:
+# the executor writes it to a file keyed by its content fingerprint,
+# and each worker loads that file the first time a task asks for it,
+# while tasks carry only a :class:`CacheHandle`.  Workers outlive many
+# jobs, so caches cannot ride the pool initializer.
 
 #: Per-process registry of broadcast caches, keyed by content
 #: fingerprint, oldest first.  The parent registers at broadcast time,
-#: so in-process attempts (the single-task shortcut, retries) and
+#: so inline attempts (single-task phases, one-worker pools) and
 #: workers forked afterwards resolve handles without a file read.
 _WORKER_CACHES: dict[str, DistributedCache] = {}
 
@@ -515,37 +470,6 @@ class CacheHandle(DistributedCache):
         return f"CacheHandle({self.cache_fingerprint!r})"
 
 
-def _pack_args(args: tuple) -> tuple[bytes, list[bytes]]:
-    """Pickle-5 out-of-band packing of one task's arguments.
-
-    Contiguous ndarray buffers (the split payloads) leave the pickle
-    stream via ``buffer_callback`` instead of being copied into it.
-    """
-    buffers: list[pickle.PickleBuffer] = []
-    data = pickle.dumps(args, protocol=5, buffer_callback=buffers.append)
-    return data, [buffer.raw().tobytes() for buffer in buffers]
-
-
-def _run_packed(fn: Callable[..., Any], data: bytes, buffers: list[bytes]):
-    """Worker-side companion of :func:`_pack_args`."""
-    return fn(*pickle.loads(data, buffers=buffers))
-
-
-class _PackingPool:
-    """Wraps a process pool so submitted arguments go through
-    :func:`_pack_args`; futures and shutdown delegate unchanged."""
-
-    def __init__(self, pool: ProcessPoolExecutor) -> None:
-        self._pool = pool
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
-        data, buffers = _pack_args(args)
-        return self._pool.submit(_run_packed, fn, data, buffers)
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-
-
 def _remove_cache_dir(path: str, owner_pid: int) -> None:
     # Forked workers hold copies of the executor: only its own process
     # may remove the directory.
@@ -558,10 +482,9 @@ class ProcessExecutor(_PoolExecutor):
 
     Job caches registered via :meth:`broadcast` are written once to a
     private directory and loaded once per worker (keyed by content
-    fingerprint) rather than shipped once per task, and task arguments
-    are packed with pickle protocol 5 so ndarray split payloads travel
-    out-of-band.  :meth:`close` removes the directory; an executor that
-    is never closed removes it when it is garbage-collected.
+    fingerprint) rather than shipped once per task.  :meth:`close`
+    removes the directory; an executor that is never closed removes it
+    when it is garbage-collected.
     """
 
     name = "process"
@@ -608,7 +531,7 @@ class ProcessExecutor(_PoolExecutor):
             self._cache_dir = self._cache_dir_cleanup = None
 
     def _make_pool(self):
-        return _PackingPool(ProcessPoolExecutor(max_workers=self.max_workers))
+        return ProcessPoolExecutor(max_workers=self.max_workers)
 
 
 EXECUTORS: dict[str, type[Executor]] = {
@@ -646,33 +569,26 @@ def resolve_executor(
 
 
 class TaskRunner:
-    """The single retry/backoff path for every task of every phase.
+    """The one task lifecycle of every phase of every job.
 
-    One runner executes one job: it dispatches each phase's first
-    attempts as a batch through the executor, settles them in task
-    order (retrying failed attempts in-process with exponential
-    backoff), merges per-task counters into the job counters, counts
-    every retry — including those of tasks that go on to exhaust their
-    attempts — and emits the full lifecycle event stream.
+    One runner executes one job.  A phase dispatches every first
+    attempt, then settles its tasks in task-id order: it retries a
+    failed attempt through the same dispatch as the first, up to
+    ``max_attempts``, counts every retry (those of tasks that go on to
+    exhaust their attempts included), merges per-task counters into
+    the job counters and emits the full lifecycle event stream.
+    Serial, thread and process runs therefore emit one event sequence.
 
-    Two optional policies extend the lifecycle:
-
-    - ``task_timeout_s``: an attempt running longer than this is
-      treated as failed (:class:`TaskTimeoutError`) and retried.  On a
-      pool-backed executor the runner monitors wall clock and abandons
-      the in-flight attempt; on the serial executor (which cannot
-      preempt) the limit is enforced post-hoc from the attempt's
-      reported elapsed time.
-    - ``speculative``: once at least half the phase's tasks finished,
-      a task still running past ``speculation_factor`` × the median
-      completed duration gets a *speculative* duplicate attempt on a
-      fresh worker; the first successful result wins and the loser is
-      discarded, so output invariants are untouched.  Requires a
-      pool-backed executor; a no-op on serial.
+    A phase runs on the executor's pool when it has more than one task
+    and the pool more than one worker; otherwise every attempt runs
+    inline, holding one lease slot.  An attempt fails when it raises,
+    fails ``validate``, dies with its worker or runs out of time.  With
+    ``task_timeout_s`` set, the runner waits on an attempt only until
+    its deadline (dispatch time + ``task_timeout_s``) and abandons it
+    there; an attempt that reports a longer run fails after the fact
+    (an inline attempt cannot be preempted).  Either way the attempt
+    fails with :class:`TaskTimeoutError`.
     """
-
-    #: Polling granularity of the concurrent monitor loop (seconds).
-    _TICK_S = 0.005
 
     def __init__(
         self,
@@ -680,27 +596,17 @@ class TaskRunner:
         events: EventLog,
         job_name: str,
         max_attempts: int,
-        backoff_s: float = 0.0,
         task_timeout_s: float | None = None,
-        speculative: bool = False,
-        speculation_factor: float = 2.0,
-        speculation_floor_s: float = 0.02,
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be > 0")
-        if speculation_factor <= 1.0:
-            raise ValueError("speculation_factor must be > 1")
         self.executor = executor
         self.events = events
         self.job_name = job_name
         self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
         self.task_timeout_s = task_timeout_s
-        self.speculative = speculative
-        self.speculation_factor = speculation_factor
-        self.speculation_floor_s = speculation_floor_s
 
     def run_phase(
         self,
@@ -721,29 +627,70 @@ class TaskRunner:
         """
         started = time.perf_counter()
         self.events.emit(EventKind.PHASE_START, self.job_name, phase=phase)
-        if len(calls) > 1 and (
-            self.task_timeout_s is not None or self.speculative
-        ) and self.executor.pool() is not None:
-            results = self._run_phase_concurrent(
-                phase, fn, calls, task_ids, counters, validate
+        pooled = len(calls) > 1 and self.executor.max_workers > 1
+        #: Every attempt dispatched in this phase: (future, pool, deadline).
+        attempts: list[tuple[Future, Any, float | None]] = []
+
+        def dispatch(task_id: int, args: tuple, attempt: int):
+            call_fn, call_args = self.executor.wrap_call(
+                fn,
+                args,
+                job=self.job_name,
+                phase=phase,
+                task_id=task_id,
+                attempt=attempt,
             )
-        else:
+            if pooled:
+                future, pool = self.executor.submit(call_fn, *call_args)
+            else:
+                lease = self.executor.slot_lease
+                future, pool = _run_inline(call_fn, call_args, lease), None
+            # Timed from dispatch completion: a leased dispatch may wait
+            # for a slot, and slot wait is not the attempt's time.
+            deadline = None
+            if self.task_timeout_s is not None:
+                deadline = time.monotonic() + self.task_timeout_s
+            attempts.append((future, pool, deadline))
+            return attempts[-1]
+
+        try:
             for task_id in task_ids:
-                self.events.emit(
-                    EventKind.TASK_START,
-                    self.job_name,
-                    phase=phase,
-                    task_id=task_id,
-                    attempt=1,
-                )
-            batch_fn, batch_calls = self.executor.wrap_calls(
-                fn, calls, job=self.job_name, phase=phase, task_ids=task_ids
-            )
-            outcomes = self.executor.run_batch(batch_fn, batch_calls)
-            results = [
-                self._settle(phase, task_id, fn, args, outcome, counters, validate)
-                for task_id, args, outcome in zip(task_ids, calls, outcomes)
+                self._emit(EventKind.TASK_START, phase, task_id, 1)
+            running = [
+                dispatch(task_id, args, 1) for task_id, args in zip(task_ids, calls)
             ]
+            results = []
+            for task_id, args, current in zip(task_ids, calls, running):
+                attempt = 1
+                while True:
+                    outcome = self._wait(phase, task_id, attempt, current, validate)
+                    if outcome.error is None:
+                        break
+                    self._fail(phase, task_id, attempt, outcome.error, counters)
+                    attempt += 1
+                    self._emit(EventKind.TASK_START, phase, task_id, attempt)
+                    current = dispatch(task_id, args, attempt)
+                payload, task_counters, elapsed = outcome.value
+                counters.merge(task_counters)
+                self._emit(
+                    EventKind.TASK_FINISH,
+                    phase,
+                    task_id,
+                    attempt,
+                    duration_s=elapsed,
+                    counters=task_counters.snapshot(),
+                )
+                results.append((payload, elapsed))
+        finally:
+            # An attempt still running when the phase ends — abandoned,
+            # or left behind by a failed task — gets until its deadline;
+            # past it, it retires its pool so no later job waits on it.
+            for future, pool, deadline in attempts:
+                if future.done() or future.cancel():
+                    continue
+                wait((future,), timeout=_time_left(deadline))
+                if not future.done():
+                    self.executor.retire_pool(pool)
         self.events.emit(
             EventKind.PHASE_FINISH,
             self.job_name,
@@ -753,37 +700,41 @@ class TaskRunner:
         )
         return results
 
-    # -- shared attempt post-checks -------------------------------------
+    def _emit(
+        self, kind: str, phase: str, task_id: int, attempt: int, **fields: Any
+    ) -> None:
+        self.events.emit(
+            kind,
+            self.job_name,
+            phase=phase,
+            task_id=task_id,
+            attempt=attempt,
+            **fields,
+        )
 
-    def _post_check(
+    def _wait(
         self,
         phase: str,
         task_id: int,
-        outcome: TaskOutcome,
+        attempt: int,
+        current: tuple[Future, Any, float | None],
         validate: Callable[[Any, Counters], None] | None,
-        enforce_timeout: bool = True,
     ) -> TaskOutcome:
-        """Convert a "successful" attempt into a failure when it broke a
-        policy: ran past the task timeout or produced a payload that
-        fails shuffle-integrity validation."""
+        """Wait for one attempt until its deadline.  An attempt still
+        running there, or one that ran past the timeout or produced a
+        payload failing ``validate``, settles as a failure."""
+        future, pool, deadline = current
+        if deadline is not None:
+            wait((future,), timeout=_time_left(deadline))
+            if not future.done():
+                future.cancel()
+                return self._timeout(phase, task_id, attempt)
+        outcome = self.executor.outcome(future, pool)
         if outcome.error is not None:
             return outcome
         payload, task_counters, elapsed = outcome.value
-        if (
-            enforce_timeout
-            and self.task_timeout_s is not None
-            and elapsed > self.task_timeout_s
-        ):
-            self.events.emit(
-                EventKind.TASK_TIMEOUT,
-                self.job_name,
-                phase=phase,
-                task_id=task_id,
-                error=f"exceeded {self.task_timeout_s:g}s",
-            )
-            return TaskOutcome(
-                error=TaskTimeoutError(phase, task_id, self.task_timeout_s)
-            )
+        if deadline is not None and elapsed > self.task_timeout_s:
+            return self._timeout(phase, task_id, attempt)
         if validate is not None:
             try:
                 validate(payload, task_counters)
@@ -791,252 +742,43 @@ class TaskRunner:
                 return TaskOutcome(error=error)
         return outcome
 
-    # -- batch (serial / no-policy) path --------------------------------
+    def _timeout(self, phase: str, task_id: int, attempt: int) -> TaskOutcome:
+        """Fail an attempt that ran out of time."""
+        self._emit(
+            EventKind.TASK_TIMEOUT,
+            phase,
+            task_id,
+            attempt,
+            error=f"exceeded {self.task_timeout_s:g}s",
+        )
+        return TaskOutcome(error=TaskTimeoutError(phase, task_id, self.task_timeout_s))
 
-    def _settle(
+    def _fail(
         self,
         phase: str,
         task_id: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        outcome: TaskOutcome,
+        attempt: int,
+        error: Exception,
         counters: Counters,
-        validate: Callable[[Any, Counters], None] | None = None,
-    ) -> tuple[Any, float]:
-        attempt = 1
-        while True:
-            outcome = self._post_check(phase, task_id, outcome, validate)
-            if outcome.error is None:
-                payload, task_counters, elapsed = outcome.value
-                counters.merge(task_counters)
-                self.events.emit(
-                    EventKind.TASK_FINISH,
-                    self.job_name,
-                    phase=phase,
-                    task_id=task_id,
-                    attempt=attempt,
-                    duration_s=elapsed,
-                    counters=task_counters.snapshot(),
-                )
-                return payload, elapsed
-            if attempt >= self.max_attempts:
-                self.events.emit(
-                    EventKind.TASK_FAILED,
-                    self.job_name,
-                    phase=phase,
-                    task_id=task_id,
-                    attempt=attempt,
-                    error=repr(outcome.error),
-                    counters=counters.snapshot(),
-                )
-                raise TaskFailedError(
-                    phase, task_id, attempt, outcome.error, counters=counters
-                )
-            counters.increment(Counters.FRAMEWORK, Counters.TASK_RETRIES)
-            self.events.emit(
-                EventKind.TASK_RETRY,
-                self.job_name,
-                phase=phase,
-                task_id=task_id,
-                attempt=attempt,
-                error=repr(outcome.error),
-            )
-            if self.backoff_s > 0:
-                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
-            attempt += 1
-            self.events.emit(
-                EventKind.TASK_START,
-                self.job_name,
-                phase=phase,
-                task_id=task_id,
-                attempt=attempt,
-            )
-            # Retries re-run in-process: tasks are pure functions of
-            # their arguments, so the backend cannot change the output.
-            retry_fn, retry_args = self.executor.wrap_call(
-                fn,
-                args,
-                job=self.job_name,
-                phase=phase,
-                task_id=task_id,
-                attempt=attempt,
-            )
-            outcome = TaskOutcome.capture(retry_fn, retry_args)
-
-    # -- concurrent (timeout / speculation) path -------------------------
-
-    def _run_phase_concurrent(
-        self,
-        phase: str,
-        fn: Callable[..., Any],
-        calls: Sequence[tuple],
-        task_ids: Sequence[int],
-        counters: Counters,
-        validate: Callable[[Any, Counters], None] | None,
-    ) -> list[tuple[Any, float]]:
-        """Task-level scheduling with wall-clock timeouts and
-        first-result-wins speculative duplicates, on the executor's
-        shared pool.
-
-        Abandoned attempts (timeouts, speculation losers) may keep
-        running on their worker — tasks are pure, so their ignored
-        results are harmless — but their outcome can never settle a
-        task twice: settlement is guarded per task id.  A phase that
-        leaves one still running retires the pool, so no later job
-        waits behind it; a pool that broke is retired at once and the
-        retries go to a fresh one.
-        """
-        index = {tid: i for i, tid in enumerate(task_ids)}
-        results: dict[int, tuple[Any, float]] = {}
-        attempt_no = {tid: 1 for tid in task_ids}
-        dispatched_at = {tid: 0.0 for tid in task_ids}
-        speculated: set[int] = set()
-        durations: list[float] = []
-        # future -> (task_id, attempt, is_speculative)
-        pending: dict[Future, tuple[int, int, bool]] = {}
-        # future -> the pool it was submitted to
-        origin: dict[Future, Any] = {}
-        abandoned: set[Future] = set()
-
-        def dispatch(tid: int, attempt: int, speculative: bool) -> None:
-            call_fn, call_args = self.executor.wrap_call(
-                fn,
-                calls[index[tid]],
-                job=self.job_name,
-                phase=phase,
-                task_id=tid,
-                attempt=attempt,
-                clean=speculative,
-            )
-            kind = (
-                EventKind.TASK_SPECULATED if speculative else EventKind.TASK_START
-            )
-            self.events.emit(
-                kind,
-                self.job_name,
-                phase=phase,
-                task_id=tid,
-                attempt=attempt,
-            )
-            future, pool = self.executor.submit(call_fn, *call_args)
-            if not speculative:
-                # Timed from submit *completion*: a leased pool may
-                # block in submit waiting for a slot grant, and slot
-                # wait must not count against the task's timeout.
-                dispatched_at[tid] = time.perf_counter()
-            pending[future] = (tid, attempt, speculative)
-            origin[future] = pool
-
-        def fail_attempt(tid: int, attempt: int, error: Exception) -> None:
-            """Retry (counted) or exhaust the task's attempt budget."""
-            if attempt >= self.max_attempts:
-                self.events.emit(
-                    EventKind.TASK_FAILED,
-                    self.job_name,
-                    phase=phase,
-                    task_id=tid,
-                    attempt=attempt,
-                    error=repr(error),
-                    counters=counters.snapshot(),
-                )
-                raise TaskFailedError(
-                    phase, tid, attempt, error, counters=counters
-                )
-            counters.increment(Counters.FRAMEWORK, Counters.TASK_RETRIES)
-            self.events.emit(
-                EventKind.TASK_RETRY,
-                self.job_name,
-                phase=phase,
-                task_id=tid,
-                attempt=attempt,
+    ) -> None:
+        """Count a retry of a failed attempt, or raise once the task's
+        attempt budget is spent."""
+        if attempt >= self.max_attempts:
+            self._emit(
+                EventKind.TASK_FAILED,
+                phase,
+                task_id,
+                attempt,
                 error=repr(error),
+                counters=counters.snapshot(),
             )
-            attempt_no[tid] = attempt + 1
-            dispatch(tid, attempt + 1, speculative=False)
+            raise TaskFailedError(phase, task_id, attempt, error, counters=counters)
+        counters.increment(Counters.FRAMEWORK, Counters.TASK_RETRIES)
+        self._emit(EventKind.TASK_RETRY, phase, task_id, attempt, error=repr(error))
 
-        def settle_success(tid: int, attempt: int, value: Any) -> None:
-            payload, task_counters, elapsed = value
-            counters.merge(task_counters)
-            durations.append(elapsed)
-            results[tid] = (payload, elapsed)
-            self.events.emit(
-                EventKind.TASK_FINISH,
-                self.job_name,
-                phase=phase,
-                task_id=tid,
-                attempt=attempt,
-                duration_s=elapsed,
-                counters=task_counters.snapshot(),
-            )
 
-        try:
-            for tid in task_ids:
-                dispatch(tid, 1, speculative=False)
-            while len(results) < len(task_ids):
-                done, _ = wait(
-                    list(pending),
-                    timeout=self._TICK_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    tid, attempt, is_spec = pending.pop(future)
-                    outcome = self.executor.outcome(future, origin.pop(future))
-                    stale = tid in results or future in abandoned
-                    abandoned.discard(future)
-                    if stale:
-                        continue  # task already settled / attempt timed out
-                    # Wall-clock timeouts are enforced by the monitor
-                    # below; a completed attempt counts.
-                    outcome = self._post_check(
-                        phase, tid, outcome, validate, enforce_timeout=False
-                    )
-                    if outcome.error is None:
-                        settle_success(tid, attempt, outcome.value)
-                    elif not is_spec:  # a losing speculative copy is discarded
-                        fail_attempt(tid, attempt, outcome.error)
-                now = time.perf_counter()
-                if self.task_timeout_s is not None:
-                    for future, (tid, attempt, is_spec) in list(pending.items()):
-                        if (
-                            is_spec
-                            or tid in results
-                            or future in abandoned
-                            or now - dispatched_at[tid] <= self.task_timeout_s
-                        ):
-                            continue
-                        abandoned.add(future)
-                        future.cancel()
-                        self.events.emit(
-                            EventKind.TASK_TIMEOUT,
-                            self.job_name,
-                            phase=phase,
-                            task_id=tid,
-                            attempt=attempt,
-                            error=f"exceeded {self.task_timeout_s:g}s",
-                        )
-                        fail_attempt(
-                            tid,
-                            attempt,
-                            TaskTimeoutError(phase, tid, self.task_timeout_s),
-                        )
-                if self.speculative and len(results) >= max(
-                    1, len(task_ids) // 2
-                ):
-                    threshold = max(
-                        self.speculation_factor * statistics.median(durations),
-                        self.speculation_floor_s,
-                    )
-                    for tid in task_ids:
-                        if (
-                            tid in results
-                            or tid in speculated
-                            or now - dispatched_at[tid] <= threshold
-                        ):
-                            continue
-                        speculated.add(tid)
-                        dispatch(tid, attempt_no[tid], speculative=True)
-        finally:
-            for future in pending:
-                if not future.cancel() and not future.done():
-                    self.executor.retire_pool(origin[future])
-        return [results[tid] for tid in task_ids]
+def _time_left(deadline: float | None) -> float | None:
+    """Seconds until ``deadline`` (``None``: wait without one)."""
+    if deadline is None:
+        return None
+    return max(0.0, deadline - time.monotonic())

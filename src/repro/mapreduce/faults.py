@@ -4,8 +4,8 @@ Multi-hour MapReduce runs on real clusters see task crashes, straggler
 nodes and corrupted shuffle fetches as routine events; the paper's
 Hadoop setting assumes all three are survivable.  This module makes
 those faults *reproducible* so the fault-tolerance machinery (retries,
-timeouts, speculation, shuffle-integrity validation, checkpoint/resume)
-can be tested deterministically:
+timeouts, shuffle-integrity validation, checkpoint/resume) can be
+tested deterministically:
 
 - :class:`FaultPlan` parses a compact fault-spec grammar and decides —
   from a seed and a stable hash, never from RNG call order — whether a
@@ -13,7 +13,7 @@ can be tested deterministically:
   schedule is therefore identical across serial, thread and process
   executors and across repeated runs.
 - :class:`ChaosExecutor` wraps any :class:`Executor` and applies the
-  plan through the executor wrapping hooks, leaving scheduling,
+  plan through the executor wrapping hook, leaving scheduling,
   retries and output ordering untouched.
 
 Fault-spec grammar (``;``-separated clauses)::
@@ -43,8 +43,8 @@ Examples::
 
 Injected faults are announced through ``fault_injected`` events, so a
 chaos run's schedule is visible in traces and run reports.  Fully
-inert when no plan is configured: the default executor wrapping hooks
-are the identity.
+inert when no plan is configured: the default executor wrapping hook
+is the identity.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.mapreduce.events import EventKind, EventLog
-from repro.mapreduce.executors import Executor, TaskOutcome
+from repro.mapreduce.executors import Executor
 
 ERROR = "error"
 DELAY = "delay"
@@ -249,10 +249,8 @@ def chaos_call(
 class ChaosExecutor(Executor):
     """Wraps any executor, injecting the plan's faults into attempts.
 
-    Everything except the wrapping hooks delegates to the inner
+    Everything except the wrapping hook delegates to the inner
     backend, so scheduling, pooling and outcome ordering are untouched.
-    Speculative duplicate attempts are dispatched with ``clean=True``
-    and run fault-free — they model re-execution on a fresh node.
     """
 
     def __init__(
@@ -271,18 +269,14 @@ class ChaosExecutor(Executor):
 
     @property
     def slot_lease(self):  # type: ignore[override]
-        """Delegates to the wrapped backend: ``run_batch`` and its pool
-        run there, so the lease must live there too — and the scheduler
-        may bind it before or after chaos wrapping."""
+        """Delegates to the wrapped backend: its pool runs the attempts,
+        so the lease must live there too — and the scheduler may bind
+        it before or after chaos wrapping."""
         return self.inner.slot_lease
 
     @slot_lease.setter
     def slot_lease(self, lease) -> None:
         self.inner.slot_lease = lease
-
-    def bind_events(self, events: EventLog) -> None:
-        """Late-bind the event log injected faults are announced on."""
-        self.events = events
 
     def _announce(
         self,
@@ -304,28 +298,7 @@ class ChaosExecutor(Executor):
                 error=clause.describe(),
             )
 
-    # -- wrapping hooks --------------------------------------------------
-
-    def wrap_calls(
-        self,
-        fn: Callable[..., Any],
-        calls: Sequence[tuple],
-        *,
-        job: str,
-        phase: str,
-        task_ids: Sequence[int],
-    ) -> tuple[Callable[..., Any], Sequence[tuple]]:
-        wrapped: list[tuple] = []
-        any_fault = False
-        for task_id, args in zip(task_ids, calls):
-            faults = self.plan.faults_for(job, phase, task_id, 1)
-            if faults:
-                any_fault = True
-                self._announce(faults, job, phase, task_id, 1)
-            wrapped.append((faults, fn, args))
-        if not any_fault:
-            return fn, calls
-        return chaos_call, wrapped
+    # -- wrapping hook ---------------------------------------------------
 
     def wrap_call(
         self,
@@ -336,10 +309,7 @@ class ChaosExecutor(Executor):
         phase: str,
         task_id: int,
         attempt: int,
-        clean: bool = False,
     ) -> tuple[Callable[..., Any], tuple]:
-        if clean:
-            return fn, args
         faults = self.plan.faults_for(job, phase, task_id, attempt)
         if not faults:
             return fn, args
@@ -347,11 +317,6 @@ class ChaosExecutor(Executor):
         return chaos_call, (faults, fn, args)
 
     # -- delegation ------------------------------------------------------
-
-    def run_batch(
-        self, fn: Callable[..., Any], calls: Sequence[tuple]
-    ) -> list[TaskOutcome]:
-        return self.inner.run_batch(fn, calls)
 
     def pool(self):
         return self.inner.pool()
@@ -363,5 +328,5 @@ class ChaosExecutor(Executor):
         self.inner.close()
 
     @property
-    def max_workers(self) -> int:
-        return getattr(self.inner, "max_workers", 1)
+    def max_workers(self) -> int:  # type: ignore[override]
+        return self.inner.max_workers

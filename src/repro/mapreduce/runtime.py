@@ -2,9 +2,9 @@
 
 The runtime is layered:
 
-- :mod:`repro.mapreduce.executors` decides *where* task batches run
-  (serial / thread pool / process pool) and owns the one retry path
-  (:class:`~repro.mapreduce.executors.TaskRunner`);
+- :mod:`repro.mapreduce.executors` decides *where* task attempts run
+  (serial / thread pool / process pool) and owns the one task
+  lifecycle (:class:`~repro.mapreduce.executors.TaskRunner`);
 - :class:`Shuffle` partitions intermediate pairs *inside each map
   task* (map-side partitioning: pre-partitioned output crosses the
   process boundary once and makes per-partition reduce scheduling
@@ -104,8 +104,6 @@ class RuntimeContext:
     tenant: str = "default"
     fault_plan: FaultPlan | None = None
     task_timeout_s: float | None = None
-    speculative: bool = False
-    speculation_factor: float = 2.0
     #: Per-run observability scope (``Observability.for_run``); kept as
     #: ``Any`` so the mapreduce layer stays import-free of ``repro.obs``.
     obs: Any = None
@@ -387,8 +385,8 @@ class MapReduceRuntime:
         :class:`~repro.mapreduce.faults.ChaosExecutor` announcing its
         injections on this runtime's event log.  ``None`` (default) is
         fully inert.
-    task_timeout_s / speculative / speculation_factor:
-        The task-lifecycle policies of
+    task_timeout_s:
+        The per-attempt deadline of
         :class:`~repro.mapreduce.executors.TaskRunner`, applied to every
         job of this runtime.
 
@@ -410,8 +408,6 @@ class MapReduceRuntime:
         obs: Any = None,
         fault_plan: FaultPlan | None = None,
         task_timeout_s: float | None = None,
-        speculative: bool = False,
-        speculation_factor: float = 2.0,
         context: RuntimeContext | None = None,
     ) -> None:
         if context is not None:
@@ -422,8 +418,6 @@ class MapReduceRuntime:
             executor = context.executor
             fault_plan = context.fault_plan
             task_timeout_s = context.task_timeout_s
-            speculative = context.speculative
-            speculation_factor = context.speculation_factor
             if obs is None:
                 obs = context.obs
         if max_workers is not None and max_workers < 1:
@@ -435,15 +429,12 @@ class MapReduceRuntime:
         else:
             self.events = EventLog(run_id=self.run_id)
         self.task_timeout_s = task_timeout_s
-        self.speculative = speculative
-        self.speculation_factor = speculation_factor
         self._owns_executor = not isinstance(executor, Executor)
         self.default_executor = resolve_executor(executor, max_workers)
         if fault_plan is not None:
             self.default_executor = ChaosExecutor(
                 self.default_executor, fault_plan, events=self.events
             )
-        self.history: list[JobResult] = []
         self.obs = obs
         if obs is not None:
             obs.observe_events(self.events)
@@ -473,10 +464,7 @@ class MapReduceRuntime:
             self.events,
             conf.name,
             conf.max_task_attempts,
-            conf.retry_backoff_s,
             task_timeout_s=self.task_timeout_s,
-            speculative=self.speculative,
-            speculation_factor=self.speculation_factor,
         )
         first_event = len(self.events)
         self.events.emit(EventKind.JOB_START, conf.name)
@@ -521,7 +509,7 @@ class MapReduceRuntime:
             duration_s=wall_time,
             counters=counters.snapshot(),
         )
-        result = JobResult(
+        return JobResult(
             output=output,
             counters=counters,
             conf=conf,
@@ -531,18 +519,3 @@ class MapReduceRuntime:
             reduce_task_times=reduce_times,
             events=self.events.events[first_event:],
         )
-        self.history.append(result)
-        return result
-
-    # -- accounting -----------------------------------------------------
-
-    def total_counters(self) -> Counters:
-        """Aggregate counters across every job this runtime executed."""
-        total = Counters()
-        for result in self.history:
-            total.merge(result.counters)
-        return total
-
-    @property
-    def jobs_run(self) -> int:
-        return len(self.history)

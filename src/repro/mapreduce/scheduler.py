@@ -39,9 +39,9 @@ Three mechanisms compose:
     a running chain observes the cancel at its next slot acquisition
     and unwinds with :class:`JobCancelledError`.
 
-Retried task attempts deliberately run *unleased*: retries re-execute
-in-process inside the settlement path (rare by construction), so the
-simple retry machinery stays shared with the one-shot runtime.
+Retried task attempts run leased too: a retry goes through the same
+dispatch as its first attempt, onto the chain's pool, so it holds one
+slot like every other attempt.
 """
 
 from __future__ import annotations
@@ -308,7 +308,6 @@ class _ServiceJob:
     estimate_s: float
     fault_plan: FaultPlan | None = None
     task_timeout_s: float | None = None
-    speculative: bool = False
     state: str = _QUEUED
     cancel: threading.Event = field(default_factory=threading.Event)
     finished: threading.Event = field(default_factory=threading.Event)
@@ -525,7 +524,6 @@ class ClusterService:
         coreset_size: int | None = None,
         fault_plan: FaultPlan | None = None,
         task_timeout_s: float | None = None,
-        speculative: bool = False,
     ) -> ServiceHandle:
         """Queue one chain for execution; returns immediately.
 
@@ -557,7 +555,6 @@ class ClusterService:
             ),
             fault_plan=fault_plan,
             task_timeout_s=task_timeout_s,
-            speculative=speculative,
             submitted_s=time.monotonic(),
         )
         self.slo.tenant(tenant).record_admitted()
@@ -744,7 +741,6 @@ class ClusterService:
             tenant=job.tenant,
             fault_plan=job.fault_plan,
             task_timeout_s=job.task_timeout_s,
-            speculative=job.speculative,
             obs=run_obs,
         )
         try:

@@ -61,38 +61,35 @@ class InputSplit:
 
 
 class _ArrayRecords(Sequence):
-    """Lazy ``(index, row)`` view over a slice of a 2-D array.
+    """Lazy ``(index, row)`` view over a row slice of a 2-D array.
 
     Avoids materialising one tuple per data point up front; rows are
-    produced on demand as the mapper iterates its split.
+    produced on demand as the mapper iterates its split.  Holds only
+    the split's rows (a view) and its first row key, so a split shipped
+    to a process worker pickles its own rows, not the whole matrix.
     """
 
-    def __init__(self, data: np.ndarray, start: int, stop: int) -> None:
-        self._data = data
+    def __init__(self, rows: np.ndarray, start: int) -> None:
+        self._rows = rows
         self._start = start
-        self._stop = stop
 
     def __len__(self) -> int:
-        return self._stop - self._start
+        return len(self._rows)
 
     def __getitem__(self, i: int) -> tuple[int, np.ndarray]:
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(i)
-        idx = self._start + i
-        return idx, self._data[idx]
+        return self._start + i, self._rows[i]
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        for idx in range(self._start, self._stop):
-            yield idx, self._data[idx]
+        for i, row in enumerate(self._rows):
+            yield self._start + i, row
 
     def as_block(self) -> tuple[np.ndarray, np.ndarray]:
         """The slice as ``(keys, block)`` with zero per-row overhead."""
-        return (
-            np.arange(self._start, self._stop),
-            self._data[self._start : self._stop],
-        )
+        return np.arange(self._start, self._start + len(self._rows)), self._rows
 
 
 def split_block(split: "InputSplit") -> tuple[Sequence[Any], np.ndarray] | None:
@@ -182,7 +179,7 @@ def split_records(
     for sid in range(num_splits):
         lo, hi = int(bounds[sid]), int(bounds[sid + 1])
         if isinstance(data, np.ndarray):
-            records: Sequence[tuple[Any, Any]] = _ArrayRecords(data, lo, hi)
+            records: Sequence[tuple[Any, Any]] = _ArrayRecords(data[lo:hi], lo)
         else:
             records = [tuple(rec) for rec in data[lo:hi]]
         splits.append(InputSplit(split_id=sid, records=records))
@@ -196,8 +193,8 @@ class JobConf:
     Mirrors the knobs the paper's driver uses: the number of mapper
     slots (splits), the number of reducers (0 = map-only job, 1 = the
     single-reducer aggregation pattern most P3C+-MR jobs use), and the
-    job name used in counter reports.  Where a job runs and its
-    timeout/speculation policies are the runtime's, not the job's (see
+    job name used in counter reports.  Where a job runs and its task
+    timeout are the runtime's, not the job's (see
     :class:`~repro.mapreduce.runtime.MapReduceRuntime`).
     """
 
@@ -206,8 +203,6 @@ class JobConf:
     num_reducers: int = 1
     #: Hadoop-style task re-execution budget (1 = fail fast).
     max_task_attempts: int = 2
-    #: Base delay before a retry; doubles per attempt (0 = immediate).
-    retry_backoff_s: float = 0.0
     #: Cap on rows per ``BatchMapper.map_batch`` delivery.  ``None``
     #: delivers each split as one block; with a cap the runtime streams
     #: the split in chunks (see :func:`iter_split_blocks`) so a map
@@ -227,8 +222,6 @@ class JobConf:
             raise ValueError("num_reducers must be >= 0")
         if self.max_task_attempts < 1:
             raise ValueError("max_task_attempts must be >= 1")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if self.max_block_rows is not None and self.max_block_rows < 1:
             raise ValueError("max_block_rows must be >= 1")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:

@@ -87,8 +87,6 @@ class P3CPlusMRConfig:
     fault_plan: FaultPlan | None = None
     #: Per-attempt task wall-clock budget in seconds (``None`` = none).
     task_timeout_s: float | None = None
-    #: Speculatively re-execute straggler tasks (first result wins).
-    speculative: bool = False
     #: Directory for chain checkpoints (``None`` disables them).
     checkpoint_dir: str | None = None
     #: Restore completed jobs from ``checkpoint_dir`` instead of
@@ -179,7 +177,6 @@ class P3CPlusMR:
                 obs=self.obs if self.obs.enabled else None,
                 fault_plan=mr_config.fault_plan,
                 task_timeout_s=mr_config.task_timeout_s,
-                speculative=mr_config.speculative,
             )
         chain = JobChain(
             runtime,

@@ -19,9 +19,8 @@ of the hierarchy from the lifecycle stream:
 - ``task_retry``                 → the ``mr.task_retries`` counter,
 - ``job_skipped``                → a zero-cost ``job`` span marked
   ``skipped`` plus the ``mr.jobs_skipped`` counter (checkpoint resume),
-- ``task_timeout`` / ``task_speculated`` / ``fault_injected`` → the
-  ``mr.task_timeouts`` / ``mr.tasks_speculated`` / ``mr.faults_injected``
-  counters (fault-tolerance machinery at work).
+- ``task_timeout`` / ``fault_injected`` → the ``mr.task_timeouts`` /
+  ``mr.faults_injected`` counters (fault-tolerance machinery at work).
 
 Every job runs its map and reduce phases on either side of one
 barrier, so at most one phase span is open at a time.  The job's
@@ -109,8 +108,6 @@ class _EventBridge:
             obs.metrics.count("mr.jobs_skipped")
         elif kind == EventKind.TASK_TIMEOUT:
             obs.metrics.count("mr.task_timeouts")
-        elif kind == EventKind.TASK_SPECULATED:
-            obs.metrics.count("mr.tasks_speculated")
         elif kind == EventKind.FAULT_INJECTED:
             obs.metrics.count("mr.faults_injected")
         elif kind == EventKind.TASK_FAILED:

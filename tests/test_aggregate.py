@@ -2,8 +2,8 @@
 never mutate its input values.
 
 The runtime may hand the *same* cached shuffle value objects to more
-than one reduce attempt (task retry after a validation failure, or a
-speculative duplicate).  A reducer that accumulates in place — e.g.
+than one reduce attempt (a task retry after a failed attempt).  A
+reducer that accumulates in place — e.g.
 ``values[0] += partial`` — would make the second attempt see partials
 already contaminated by the first, silently corrupting histograms,
 support counts and covariance sums.  These tests pin the fix: all sum
@@ -61,7 +61,7 @@ def test_sum_partials_single_value_returns_fresh_array():
 def test_sum_reducers_are_pure_under_reexecution(reducer_cls):
     """Reducing the same cached values twice yields identical output
     and leaves the value objects byte-identical — the contract retried
-    and speculated reduce attempts rely on."""
+    reduce attempts rely on."""
     values = [np.arange(12.0).reshape(3, 4) * k for k in (1.0, 2.0, 5.0)]
     originals = [v.copy() for v in values]
 

@@ -1,7 +1,6 @@
 """Tests for the process-executor data plane: stable cache
-fingerprints, per-worker broadcast via :class:`CacheHandle` (localised
-files, a bounded registry, workers reused across jobs), and pickle-5
-out-of-band argument packing.
+fingerprints and per-worker broadcast via :class:`CacheHandle`
+(localised files, a bounded registry, workers reused across jobs).
 """
 
 from __future__ import annotations
@@ -30,12 +29,7 @@ from repro.mapreduce import (
     SerialExecutor,
 )
 from repro.mapreduce import executors
-from repro.mapreduce.executors import (
-    _MAX_BROADCASTS,
-    _WORKER_CACHES,
-    _pack_args,
-    _run_packed,
-)
+from repro.mapreduce.executors import _MAX_BROADCASTS, _WORKER_CACHES
 from repro.mapreduce.types import split_records
 
 
@@ -189,23 +183,6 @@ class TestCacheHandle:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(_WORKER_CACHES) == _MAX_BROADCASTS
-
-
-class TestArgumentPacking:
-    def test_roundtrip_plain_args(self):
-        data, buffers = _pack_args((1, "two", [3.0]))
-        assert _run_packed(lambda *a: a, data, buffers) == (1, "two", [3.0])
-
-    def test_ndarrays_travel_out_of_band(self):
-        block = np.arange(10_000, dtype=np.float64).reshape(100, 100)
-        data, buffers = _pack_args((block, "meta"))
-        # The array's 80kB payload left the pickle stream...
-        assert len(data) < 2_000
-        assert sum(len(b) for b in buffers) >= block.nbytes
-        # ...and reassembles bit-identically on the worker side.
-        restored, meta = _run_packed(lambda *a: a, data, buffers)
-        np.testing.assert_array_equal(restored, block)
-        assert meta == "meta"
 
 
 # -- end-to-end: broadcast through a real process-pool job ---------------

@@ -35,8 +35,8 @@ from repro.mapreduce import (
     ThreadExecutor,
     resolve_executor,
 )
-from repro.mapreduce.events import format_trace
-from repro.mapreduce.executors import Executor
+from repro.mapreduce.events import EventLog, format_trace
+from repro.mapreduce.executors import Executor, TaskRunner
 from repro.mapreduce.types import split_records
 from repro.mr import P3CPlusMR, P3CPlusMRConfig
 
@@ -64,14 +64,14 @@ def _text_splits():
     return split_records(lines, 2)
 
 
-def _double(x: int) -> int:
-    return 2 * x
+def _double_task(x: int):
+    return 2 * x, Counters(), 0.0
 
 
-def _maybe_fail(x: int) -> int:
+def _maybe_fail_task(x: int):
     if x == 2:
         raise ValueError("boom")
-    return x
+    return x, Counters(), 0.0
 
 
 class TestResolveExecutor:
@@ -98,16 +98,34 @@ class TestResolveExecutor:
             ThreadExecutor(0)
 
 
+def _run_phase(backend: Executor, fn, num_tasks: int, events: EventLog):
+    runner = TaskRunner(backend, events, "batch", max_attempts=2)
+    try:
+        return runner.run_phase(
+            "map",
+            fn,
+            [(i,) for i in range(num_tasks)],
+            list(range(num_tasks)),
+            Counters(),
+        )
+    finally:
+        backend.close()
+
+
 class TestRunBatch:
+    """A phase's calls go through the runner's one dispatch on every
+    backend: results come back in call order, and a task error is
+    captured as a failed attempt (retried, then reported), never
+    raised out of the backend."""
+
     @pytest.mark.parametrize(
         "backend",
         [SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2)],
         ids=EXECUTOR_NAMES,
     )
     def test_results_in_call_order(self, backend: Executor):
-        outcomes = backend.run_batch(_double, [(i,) for i in range(6)])
-        assert [o.value for o in outcomes] == [0, 2, 4, 6, 8, 10]
-        assert all(o.error is None for o in outcomes)
+        results = _run_phase(backend, _double_task, 6, EventLog())
+        assert [payload for payload, _ in results] == [0, 2, 4, 6, 8, 10]
 
     @pytest.mark.parametrize(
         "backend",
@@ -115,23 +133,47 @@ class TestRunBatch:
         ids=EXECUTOR_NAMES,
     )
     def test_errors_captured_not_raised(self, backend: Executor):
-        outcomes = backend.run_batch(_maybe_fail, [(i,) for i in range(4)])
-        assert [o.value for o in outcomes] == [0, 1, None, 3]
-        assert isinstance(outcomes[2].error, ValueError)
+        events = EventLog()
+        with pytest.raises(TaskFailedError) as info:
+            _run_phase(backend, _maybe_fail_task, 4, events)
+        assert info.value.task_id == 2 and info.value.attempts == 2
+        assert isinstance(info.value.cause, ValueError)
+        settled = [
+            (e.kind, e.task_id)
+            for e in events
+            if e.kind
+            in (EventKind.TASK_FINISH, EventKind.TASK_RETRY, EventKind.TASK_FAILED)
+        ]
+        assert settled == [
+            (EventKind.TASK_FINISH, 0),
+            (EventKind.TASK_FINISH, 1),
+            (EventKind.TASK_RETRY, 2),
+            (EventKind.TASK_FAILED, 2),
+        ]
 
 
 class _SpyExecutor(Executor):
-    """Delegating backend that records every batch it executes."""
+    """Delegating backend that records every call submitted to it."""
 
     name = "spy"
 
     def __init__(self, inner: Executor) -> None:
         self.inner = inner
-        self.batches: list[tuple[str, int]] = []
+        self.max_workers = inner.max_workers
+        self.submitted: list[str] = []
 
-    def run_batch(self, fn, calls):
-        self.batches.append((fn.__name__, len(calls)))
-        return self.inner.run_batch(fn, calls)
+    def pool(self):
+        return self.inner.pool()
+
+    def retire_pool(self, pool) -> None:
+        self.inner.retire_pool(pool)
+
+    def close(self) -> None:
+        self.inner.close()
+
+    def submit(self, fn, *args):
+        self.submitted.append(fn.__name__)
+        return self.inner.submit(fn, *args)
 
 
 class TestExecutorDispatch:
@@ -139,9 +181,12 @@ class TestExecutorDispatch:
         spy = _SpyExecutor(ThreadExecutor(2))
         runtime = MapReduceRuntime(executor=spy)
         job = Job(mapper_factory=WordCountMapper, reducer_factory=SumReducer)
-        result = runtime.run(job, _text_splits(), JobConf(num_reducers=4))
+        try:
+            result = runtime.run(job, _text_splits(), JobConf(num_reducers=4))
+        finally:
+            spy.close()
         assert result.executor == "spy"
-        assert spy.batches == [("_run_map_task", 2), ("_run_reduce_task", 4)]
+        assert spy.submitted == ["_run_map_task"] * 2 + ["_run_reduce_task"] * 4
         assert result.num_map_tasks == 2
         assert result.num_reduce_tasks == 4
 
@@ -258,22 +303,35 @@ class TestEvents:
         assert records[0]["kind"] == "job_start"
         assert records[0]["job"] == "wc"
 
-    def test_serial_and_thread_emit_same_event_shape(self):
-        def run(name: str):
-            runtime = MapReduceRuntime(executor=name, max_workers=2)
-            job = Job(mapper_factory=WordCountMapper, reducer_factory=SumReducer)
-            result = runtime.run(
-                job, _text_splits(), JobConf(name="wc", num_reducers=2)
-            )
+    @pytest.mark.parametrize(
+        "task_timeout_s", [None, 30], ids=["no-timeout", "timeout"]
+    )
+    def test_serial_and_thread_emit_same_event_shape(self, task_timeout_s):
+        # Task 0 straggles, so completion order differs from task order.
+        plan = FaultPlan.parse("map:delay:task=0:ms=60")
+
+        def run(name: str, timeout_s: float | None):
+            with MapReduceRuntime(
+                executor=name,
+                max_workers=2,
+                fault_plan=plan,
+                task_timeout_s=timeout_s,
+            ) as runtime:
+                job = Job(mapper_factory=WordCountMapper, reducer_factory=SumReducer)
+                result = runtime.run(
+                    job, _text_splits(), JobConf(name="wc", num_reducers=2)
+                )
             return [
                 (e.kind, e.phase, e.task_id, e.attempt) for e in result.events
             ]
 
-        # One barrier schedule on every executor: event order is part
-        # of the contract, not just the event multiset.
-        serial = run("serial")
-        assert run("thread") == serial
-        assert run("process") == serial
+        # One barrier schedule and one task lifecycle on every
+        # executor, with or without a deadline: event order is part of
+        # the contract, not just the event multiset.
+        serial = run("serial", None)
+        assert run("serial", task_timeout_s) == serial
+        assert run("thread", task_timeout_s) == serial
+        assert run("process", task_timeout_s) == serial
 
 
 class TestCalibration:
@@ -426,9 +484,9 @@ class TestPoolPerChain:
 
     @pytest.mark.parametrize("task_timeout_s", [None, 30])
     def test_worker_killed_between_jobs(self, task_timeout_s):
-        # Batch path and timeout path alike: the idle pool's death is
-        # found at submit, the pool retired and the job run on a fresh
-        # one without costing an attempt.
+        # With or without a deadline: the idle pool's death is found
+        # at submit, the pool retired and the job run on a fresh one
+        # without costing an attempt.
         job = Job(mapper_factory=PidMapper)
         expected = MapReduceRuntime().run(job, _pid_splits(), JobConf(num_reducers=0))
         executor = _CountingProcessExecutor(2)

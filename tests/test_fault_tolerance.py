@@ -10,6 +10,7 @@ import pytest
 
 from repro.mapreduce import (
     Context,
+    FaultPlan,
     Job,
     JobConf,
     Mapper,
@@ -138,22 +139,15 @@ class AlwaysFailingReducer(Reducer):
         raise RuntimeError("permanent reducer failure")
 
 
-class ChildProcessFailingMapper(Mapper):
-    """Fails in pool worker processes, succeeds in the parent.
-
-    Exercises the pool-first-attempt / in-process-retry path: the first
-    attempt runs on the process pool (different pid) and fails; the
-    retry re-runs in the parent and succeeds.
-    """
-
-    parent_pid = os.getpid()
-
-    def setup(self, context: Context) -> None:
-        if os.getpid() != self.parent_pid:
-            raise IOError("worker lost")
+class PidMapper(Mapper):
+    """Emits each record, then the pid of the process that ran the
+    attempt."""
 
     def map(self, key: Any, value: Any, context: Context) -> None:
-        context.emit("count", 1)
+        context.emit(key, value)
+
+    def cleanup(self, context: Context) -> None:
+        context.emit("pid", os.getpid())
 
 
 class TestRetriesAcrossExecutors:
@@ -183,30 +177,27 @@ class TestRetriesAcrossExecutors:
         }
         assert result.counters.framework_value(TASK_RETRIES) >= len(retried)
 
-    def test_process_pool_first_attempt_retried_in_process(self):
-        runtime = MapReduceRuntime(executor="process", max_workers=2)
-        job = Job(
-            mapper_factory=ChildProcessFailingMapper,
-            reducer_factory=SumReducer,
-        )
-        result = runtime.run(job, _splits(), JobConf(max_task_attempts=2))
-        assert result.as_dict() == {"count": 12}
+    @pytest.mark.parametrize("task_timeout_s", [None, 30])
+    def test_process_pool_retries_run_on_the_pool(self, task_timeout_s):
+        # Every first map attempt fails; each retry goes through the
+        # same dispatch as its first attempt, so it runs in a pool
+        # worker, never in the parent, with or without a deadline.
+        with MapReduceRuntime(
+            executor="process",
+            max_workers=2,
+            fault_plan=FaultPlan.parse("map:error:p=1"),
+            task_timeout_s=task_timeout_s,
+        ) as runtime:
+            result = runtime.run(
+                Job(mapper_factory=PidMapper),
+                _splits(),
+                JobConf(max_task_attempts=2, num_reducers=0),
+            )
+        records = [key for key, _ in result.output if key != "pid"]
+        pids = {value for key, value in result.output if key == "pid"}
+        assert records == list(range(12))
         assert result.counters.framework_value(TASK_RETRIES) == 3
-
-    def test_backoff_path_still_recovers(self):
-        _reset()
-        runtime = MapReduceRuntime()
-        job = Job(mapper_factory=FlakyMapper, reducer_factory=SumReducer)
-        result = runtime.run(
-            job,
-            _splits(),
-            JobConf(max_task_attempts=3, retry_backoff_s=0.001),
-        )
-        assert result.as_dict() == {"count": 12}
-
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError):
-            JobConf(retry_backoff_s=-0.1)
+        assert pids and os.getpid() not in pids
 
 
 class TestExhaustedTaskAccounting:

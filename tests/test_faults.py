@@ -1,6 +1,6 @@
 """Unit tests for the chaos layer: spec parsing, deterministic
-schedules, recovery via retries, shuffle-integrity validation, task
-timeouts and speculative execution."""
+schedules, recovery via retries, shuffle-integrity validation and task
+timeouts."""
 
 from __future__ import annotations
 
@@ -37,12 +37,6 @@ class ModMapper(Mapper):
 class SumReducer(Reducer):
     def reduce(self, key, values, context):
         context.emit(key, sum(values))
-
-
-class SlowMapper(Mapper):
-    def map(self, key, value, context):
-        time.sleep(0.002)
-        context.emit(key % 3, value)
 
 
 class PidMapper(Mapper):
@@ -352,45 +346,6 @@ class TestTaskTimeouts:
             MapReduceRuntime(task_timeout_s=0.0).run(
                 _job(), _splits(), JobConf(name="j", num_splits=6)
             )
-
-
-# -- speculative execution ----------------------------------------------
-
-
-class TestSpeculation:
-    def test_speculative_copy_beats_straggler(self):
-        plan = FaultPlan.parse("map:delay:task=2:ms=500:always=1")
-        runtime = MapReduceRuntime(
-            executor="thread",
-            max_workers=4,
-            fault_plan=plan,
-            speculative=True,
-        )
-        started = time.perf_counter()
-        result = runtime.run(
-            _job(SlowMapper), _splits(), JobConf(name="j", num_splits=6)
-        )
-        elapsed = time.perf_counter() - started
-        assert result.output == _expected()
-        assert elapsed < 0.5  # speculative copy finished first
-        assert _event_kinds(runtime)[EventKind.TASK_SPECULATED] >= 1
-
-    def test_speculation_disabled_waits_for_straggler(self):
-        plan = FaultPlan.parse("map:delay:task=2:ms=150")
-        runtime = MapReduceRuntime(
-            executor="thread", max_workers=4, fault_plan=plan
-        )
-        result = runtime.run(
-            _job(SlowMapper), _splits(), JobConf(name="j", num_splits=6)
-        )
-        assert result.output == _expected()
-        assert _event_kinds(runtime)[EventKind.TASK_SPECULATED] == 0
-
-    def test_speculation_is_noop_on_serial(self):
-        runtime = MapReduceRuntime(speculative=True)
-        result = runtime.run(_job(), _splits(), JobConf(name="j", num_splits=6))
-        assert result.output == _expected()
-        assert _event_kinds(runtime)[EventKind.TASK_SPECULATED] == 0
 
 
 # -- chaos payload corruption helpers -----------------------------------

@@ -15,6 +15,7 @@ from repro.mapreduce import (
     DistributedCache,
     HashPartitioner,
     Job,
+    JobChain,
     JobConf,
     Mapper,
     MapReduceRuntime,
@@ -103,14 +104,13 @@ class TestCounters:
         with pytest.raises(ValueError):
             counters.increment("g", "x", -1)
 
-    def test_runtime_history_totals(self):
-        runtime = MapReduceRuntime()
+    def test_chain_steps_total_counters(self):
+        chain = JobChain(MapReduceRuntime())
         job = Job(mapper_factory=WordCountMapper, reducer_factory=SumReducer)
-        runtime.run(job, _text_splits(), JobConf())
-        runtime.run(job, _text_splits(), JobConf())
-        total = runtime.total_counters()
-        assert total.framework_value(Counters.MAP_INPUT_RECORDS) == 8
-        assert runtime.jobs_run == 2
+        chain.run("wc1", job, _text_splits())
+        chain.run("wc2", job, _text_splits())
+        assert chain.total_map_input_records() == 8
+        assert chain.num_jobs == 2
 
 
 class TestPartitioner:

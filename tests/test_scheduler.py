@@ -16,6 +16,8 @@ import pytest
 from repro.mapreduce import (
     ClusterService,
     Context,
+    Counters,
+    EventLog,
     FairShareSlotPool,
     Job,
     JobCancelledError,
@@ -24,6 +26,8 @@ from repro.mapreduce import (
     MapReduceRuntime,
     Reducer,
     SlotLease,
+    TaskFailedError,
+    TaskRunner,
     TenantQuota,
     ThreadExecutor,
 )
@@ -215,20 +219,36 @@ class _CountingLease(SlotLease):
         self._semaphore.release()
 
 
-def _nap(i: int) -> int:
+def _nap(i: int):
     time.sleep(0.02)
-    return i
+    return i, Counters(), 0.02
+
+
+def _leased_phase(executor, fn, num_tasks: int):
+    """Run one phase of ``num_tasks`` calls through the runner's
+    dispatch, one attempt per task."""
+    runner = TaskRunner(executor, EventLog(), "leased", max_attempts=1)
+    try:
+        return runner.run_phase(
+            "map",
+            fn,
+            [(i,) for i in range(num_tasks)],
+            list(range(num_tasks)),
+            Counters(),
+        )
+    finally:
+        executor.close()
 
 
 class TestExecutorLeaseSeam:
     def test_lease_bounds_pool_concurrency(self):
         # A 4-worker pool under a 2-slot lease never runs more than 2
-        # tasks at once, and acquire/release balance over the batch.
+        # tasks at once, and acquire/release balance over the phase.
         executor = ThreadExecutor(max_workers=4)
         lease = _CountingLease(2)
         executor.slot_lease = lease
-        outcomes = executor.run_batch(_nap, [(i,) for i in range(8)])
-        assert [o.value for o in outcomes] == list(range(8))
+        results = _leased_phase(executor, _nap, 8)
+        assert [payload for payload, _ in results] == list(range(8))
         assert lease.acquires == 8
         assert lease.releases == 8
         assert lease.active == 0
@@ -239,11 +259,11 @@ class TestExecutorLeaseSeam:
         lease = _CountingLease(2)
         executor.slot_lease = lease
 
-        def boom(i: int) -> int:
+        def boom(i: int):
             raise ValueError(f"task {i}")
 
-        outcomes = executor.run_batch(boom, [(i,) for i in range(4)])
-        assert all(o.error is not None for o in outcomes)
+        with pytest.raises(TaskFailedError):
+            _leased_phase(executor, boom, 4)
         assert lease.acquires == lease.releases == 4
         assert lease.active == 0
 
