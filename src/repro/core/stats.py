@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy import special as spsp
 from scipy import stats as sps
 
 #: Expected-support level below which the exact Poisson tail is used;
@@ -154,7 +155,9 @@ def chi_squared_uniformity_pvalue(counts: np.ndarray) -> float:
         return 1.0
     expected = total / k
     statistic = float(((counts - expected) ** 2 / expected).sum())
-    return float(sps.chi2.sf(statistic, df=k - 1))
+    # chi2.sf's own kernel, without the distribution wrapper's
+    # argument checks (about 40x faster per call).
+    return float(spsp.chdtrc(k - 1, statistic))
 
 
 def is_uniform(counts: np.ndarray, alpha: float = 0.001) -> bool:

@@ -37,6 +37,8 @@ chaos exists.
 
 from __future__ import annotations
 
+import heapq
+import math
 import os
 import pickle
 import shutil
@@ -45,6 +47,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import (
+    FIRST_COMPLETED,
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
@@ -584,10 +587,13 @@ class TaskRunner:
     inline, holding one lease slot.  An attempt fails when it raises,
     fails ``validate``, dies with its worker or runs out of time.  With
     ``task_timeout_s`` set, the runner waits on an attempt only until
-    its deadline (dispatch time + ``task_timeout_s``) and abandons it
-    there; an attempt that reports a longer run fails after the fact
-    (an inline attempt cannot be preempted).  Either way the attempt
-    fails with :class:`TaskTimeoutError`.
+    its deadline and abandons it there; an attempt that reports a
+    longer run fails after the fact (an inline attempt cannot be
+    preempted).  Either way the attempt fails with
+    :class:`TaskTimeoutError`.  The deadline counts run time only: it
+    starts when the attempt starts running, so a phase with more tasks
+    than workers does not time out the tasks that wait their turn in
+    the pool's queue (see :meth:`_deadline`).
     """
 
     def __init__(
@@ -628,8 +634,8 @@ class TaskRunner:
         started = time.perf_counter()
         self.events.emit(EventKind.PHASE_START, self.job_name, phase=phase)
         pooled = len(calls) > 1 and self.executor.max_workers > 1
-        #: Every attempt dispatched in this phase: (future, pool, deadline).
-        attempts: list[tuple[Future, Any, float | None]] = []
+        #: Every attempt dispatched in this phase.
+        attempts: list[_Attempt] = []
 
         def dispatch(task_id: int, args: tuple, attempt: int):
             call_fn, call_args = self.executor.wrap_call(
@@ -645,13 +651,10 @@ class TaskRunner:
             else:
                 lease = self.executor.slot_lease
                 future, pool = _run_inline(call_fn, call_args, lease), None
-            # Timed from dispatch completion: a leased dispatch may wait
-            # for a slot, and slot wait is not the attempt's time.
-            deadline = None
-            if self.task_timeout_s is not None:
-                deadline = time.monotonic() + self.task_timeout_s
-            attempts.append((future, pool, deadline))
-            return attempts[-1]
+            current = _Attempt(future, pool, time.monotonic())
+            future.add_done_callback(current.settle)
+            attempts.append(current)
+            return current
 
         try:
             for task_id in task_ids:
@@ -663,7 +666,9 @@ class TaskRunner:
             for task_id, args, current in zip(task_ids, calls, running):
                 attempt = 1
                 while True:
-                    outcome = self._wait(phase, task_id, attempt, current, validate)
+                    outcome = self._wait(
+                        phase, task_id, attempt, current, attempts, validate
+                    )
                     if outcome.error is None:
                         break
                     self._fail(phase, task_id, attempt, outcome.error, counters)
@@ -683,14 +688,22 @@ class TaskRunner:
                 results.append((payload, elapsed))
         finally:
             # An attempt still running when the phase ends — abandoned,
-            # or left behind by a failed task — gets until its deadline;
-            # past it, it retires its pool so no later job waits on it.
-            for future, pool, deadline in attempts:
-                if future.done() or future.cancel():
+            # or left behind by a failed task — gets until its deadline
+            # (one never waited on started by now at the latest, so it
+            # gets one timeout from now); past it, it retires its pool
+            # so no later job waits on it.
+            cutoff = None
+            if self.task_timeout_s is not None:
+                cutoff = time.monotonic() + self.task_timeout_s
+            retired = set()
+            for current in attempts:
+                future = current.future
+                if current.pool in retired or future.done() or future.cancel():
                     continue
-                wait((future,), timeout=_time_left(deadline))
+                wait((future,), timeout=_time_left(current.deadline or cutoff))
                 if not future.done():
-                    self.executor.retire_pool(pool)
+                    self.executor.retire_pool(current.pool)
+                    retired.add(current.pool)
         self.events.emit(
             EventKind.PHASE_FINISH,
             self.job_name,
@@ -717,23 +730,25 @@ class TaskRunner:
         phase: str,
         task_id: int,
         attempt: int,
-        current: tuple[Future, Any, float | None],
+        current: _Attempt,
+        attempts: list[_Attempt],
         validate: Callable[[Any, Counters], None] | None,
     ) -> TaskOutcome:
         """Wait for one attempt until its deadline.  An attempt still
         running there, or one that ran past the timeout or produced a
         payload failing ``validate``, settles as a failure."""
-        future, pool, deadline = current
-        if deadline is not None:
-            wait((future,), timeout=_time_left(deadline))
+        future = current.future
+        if self.task_timeout_s is not None and not future.done():
+            current.deadline = self._deadline(current, attempts)
+            wait((future,), timeout=_time_left(current.deadline))
             if not future.done():
                 future.cancel()
                 return self._timeout(phase, task_id, attempt)
-        outcome = self.executor.outcome(future, pool)
+        outcome = self.executor.outcome(future, current.pool)
         if outcome.error is not None:
             return outcome
         payload, task_counters, elapsed = outcome.value
-        if deadline is not None and elapsed > self.task_timeout_s:
+        if self.task_timeout_s is not None and elapsed > self.task_timeout_s:
             return self._timeout(phase, task_id, attempt)
         if validate is not None:
             try:
@@ -741,6 +756,52 @@ class TaskRunner:
             except Exception as error:  # noqa: BLE001 - any defect retries
                 return TaskOutcome(error=error)
         return outcome
+
+    def _deadline(self, current: _Attempt, attempts: list[_Attempt]) -> float:
+        """Wait until pooled attempt ``current`` starts running; its
+        deadline is ``task_timeout_s`` past that.
+
+        A pool starts its calls in dispatch order, each on the first
+        worker to free up, so replaying the settles of the attempts
+        dispatched to its pool before ``current`` (a cancelled one never
+        ran) tells when ``current`` started.  A worker frees up at the
+        latest when its attempt reaches its deadline, unless that attempt
+        hangs: once every busy worker holds an attempt past its deadline,
+        the queue time counts too and the deadline is ``task_timeout_s``
+        past the dispatch, so a permanently hung pool still fails the
+        phase.
+        """
+        timeout = self.task_timeout_s
+        queued_deadline = current.dispatched + timeout
+        ahead = [
+            other
+            for other in attempts[: attempts.index(current)]
+            if other.pool is current.pool and not other.future.cancelled()
+        ]
+        while not current.future.done():
+            now = time.monotonic()
+            *starts, start = _replay_starts(
+                ahead + [current], self.executor.max_workers, now
+            )
+            if start < math.inf:
+                return start + timeout
+            # Queued: wake when a busy worker frees up, or when the next
+            # of their attempts runs past its deadline.
+            busy = [
+                (other.future, began + timeout)
+                for other, began in zip(ahead, starts)
+                if began < math.inf and not other.future.done()
+            ]
+            live = [deadline for _, deadline in busy if deadline > now]
+            until = min(live) if live else queued_deadline
+            if until <= now:
+                return queued_deadline
+            wait(
+                [future for future, _ in busy] + [current.future],
+                timeout=until - now,
+                return_when=FIRST_COMPLETED,
+            )
+        return time.monotonic()
 
     def _timeout(self, phase: str, task_id: int, attempt: int) -> TaskOutcome:
         """Fail an attempt that ran out of time."""
@@ -775,6 +836,45 @@ class TaskRunner:
             raise TaskFailedError(phase, task_id, attempt, error, counters=counters)
         counters.increment(Counters.FRAMEWORK, Counters.TASK_RETRIES)
         self._emit(EventKind.TASK_RETRY, phase, task_id, attempt, error=repr(error))
+
+
+@dataclass(eq=False)
+class _Attempt:
+    """One dispatched attempt of a task."""
+
+    future: Future
+    #: The pool running it; ``None`` for an inline attempt.
+    pool: Any
+    #: When its dispatch returned.
+    dispatched: float
+    #: When its future settled.
+    finished: float | None = None
+    #: Set once the runner has waited on it with a task timeout.
+    deadline: float | None = None
+
+    def settle(self, _future: Future) -> None:
+        self.finished = time.monotonic()
+
+
+def _replay_starts(
+    attempts: list[_Attempt], workers: int, now: float
+) -> list[float]:
+    """When each of one pool's ``attempts`` (in dispatch order) started
+    running, replayed from when the ones before it settled: each starts
+    on the first of the pool's ``workers`` to free up, ``math.inf`` for
+    one still queued behind busy workers."""
+    free = [-math.inf] * workers  # when each worker frees up (a heap)
+    starts = []
+    for attempt in attempts:
+        starts.append(max(attempt.dispatched, heapq.heappop(free)))
+        if not attempt.future.done():
+            finished = math.inf
+        elif attempt.finished is None:  # its settle callback is running
+            finished = now
+        else:
+            finished = attempt.finished
+        heapq.heappush(free, finished)
+    return starts
 
 
 def _time_left(deadline: float | None) -> float | None:

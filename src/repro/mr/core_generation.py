@@ -15,7 +15,11 @@ the maximal signatures and the cores become
 
   at which point a *single* support job proves the whole collection
   (saving per-level job overhead at the price of weaker Apriori
-  pruning),
+  pruning).  T_c = ⌊C / rows⌋ for an index over ``rows`` points
+  (:data:`CANDIDATE_ROWS`), at most :data:`MAX_T_C`: every batch reads
+  only the index, so a speculative candidate costs ANDs over
+  ``rows / 64`` words while one more proving job costs a fixed
+  overhead,
 - RSSC-based proving over one interval index (:mod:`repro.mr.support`):
   the level-1 job packs every point's interval bitmaps once, and each
   later batch's job ANDs and popcounts them,
@@ -43,11 +47,47 @@ from repro.mr.support import IntervalIndex, build_interval_index, run_support_jo
 from repro.mr.weights import canonical_weights
 from repro.obs import NULL_OBS, Observability
 
-#: Default multi-level collection threshold, scaled down from the
-#: paper's cluster-calibrated 3e4 to laptop proportions (collecting too
-#: deep without proving loses Apriori pruning entirely and the unproven
-#: candidate set grows combinatorially).
-DEFAULT_T_C = 2_000
+#: C: the candidate-rows a speculative batch may count before counting
+#: it costs more than one more proving job.  An index over ``rows``
+#: points collects with T_c = ⌊C / rows⌋ (:func:`collection_limit`).
+#:
+#: Derivation.  Every proving job after level 1 reads only the interval
+#: index, so one more job costs its fixed overhead: the runtime's
+#: start-up, shuffle and reduce plus the batch's RSSC, about 0.5 ms on
+#: the serial executor (a one-candidate job over a 2·10⁵-row index).  A
+#: speculative candidate costs one AND per interval and a popcount over
+#: ``rows / 64`` words: 0.025 ns per candidate-row for 2-interval and
+#: 0.055 ns for 3-interval batches over the same index (both measured
+#: on a 2-vCPU x86-64 host, best of 15 to 30 runs).  Collecting pays
+#: while a batch counts fewer than 0.5 ms / 0.05 ns = 10⁷
+#: candidate-rows.  At a 5 000-point coreset summary that is T_c =
+#: 2 000; at 2·10⁵ rows it is 50.  The limit depends on counts only,
+#: never on timings or on the executor: executors, chaos runs and
+#: resumed chains replay one plan.
+CANDIDATE_ROWS = 10_000_000
+
+#: T_c on an index of at most 5 000 rows.  Below that a speculative
+#: candidate's row-independent driver cost (its Apriori join, RSSC row
+#: and Eq. 1 test: 20–35 µs) outweighs its ANDs, and deeper collection
+#: grows the unproven candidate set combinatorially: ⌊C / rows⌋ =
+#: 10 000 at 1 000 rows counted 11 855 candidates where 2 000 counts
+#: 4 200, and made a Light fit (d = 20, 5 clusters) 2.5x slower.
+MAX_T_C = 2_000
+
+
+def collection_limit(rows: int) -> int:
+    """T_c for an interval index over ``rows`` points: the candidates
+    a collected batch may hold before a growing level is proven."""
+    return min(MAX_T_C, CANDIDATE_ROWS // max(1, rows))
+
+
+def stop_collecting(c_sum: int, count: int, previous_count: int, rows: int) -> bool:
+    """The stop rule of multi-level collection: prove the collected
+    batch once a level is empty, or once the batch holds more than
+    T_c candidates and its last level (``count`` candidates) grew."""
+    return count == 0 or (
+        c_sum > collection_limit(rows) and count > previous_count
+    )
 
 
 @dataclass
@@ -76,7 +116,6 @@ def generate_cluster_cores_mr(
     poisson_alpha: float = 0.01,
     theta_cc: float | None = 0.35,
     redundancy_filter: bool = True,
-    t_c: int = DEFAULT_T_C,
     multi_level: bool = True,
     obs: Observability | None = None,
     weights: np.ndarray | None = None,
@@ -90,7 +129,8 @@ def generate_cluster_cores_mr(
 
     With ``multi_level=False`` every level is proven immediately
     (one support job per level), which is the ablation baseline for the
-    T_c heuristic.
+    T_c heuristic; otherwise levels are collected until
+    :func:`stop_collecting` at the index's row count.
 
     With ``weights`` (the coreset fast path) supports are weighted and
     rescaled to Kish's effective sample size: scale = ESS / W maps the
@@ -150,6 +190,8 @@ def generate_cluster_cores_mr(
     stats.candidates_per_level.append(len(level))
     supports, index = build_interval_index(chain, splits, table, weights)
     proven_level = prove_batch(level, supports)
+    # The points the index covers: the summary's m on the coreset path.
+    rows = n if weights is None else len(weights)
 
     generation_base = proven_level
     pending: list[int] = []
@@ -169,14 +211,12 @@ def generate_cluster_cores_mr(
         pending.extend(candidates)
         pending_set.update(candidates)
 
-        stop_collecting = (
-            not multi_level
-            or not candidates
-            or (c_sum > t_c and len(candidates) > previous_count)
+        stop = not multi_level or stop_collecting(
+            c_sum, len(candidates), previous_count, rows
         )
         previous_count = len(candidates)
 
-        if stop_collecting:
+        if stop:
             if not pending:
                 break
             proven_batch = prove_batch(

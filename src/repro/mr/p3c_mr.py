@@ -42,7 +42,7 @@ from repro.mapreduce import (
     new_run_id,
 )
 from repro.mapreduce.types import InputSplit, split_records
-from repro.mr.core_generation import DEFAULT_T_C, generate_cluster_cores_mr
+from repro.mr.core_generation import generate_cluster_cores_mr
 from repro.mr.coreset import build_coreset, run_assign_job
 from repro.mr.em_jobs import run_em_mr
 from repro.mr.histogram import run_histogram_job
@@ -80,7 +80,8 @@ class P3CPlusMRConfig:
     #: Executor backend ("serial"/"thread"/"process"); ``None`` keeps
     #: the auto rule: max_workers > 1 selects the process pool.
     executor: str | None = None
-    t_c: int = DEFAULT_T_C
+    #: ``False`` proves every candidate level in its own job (the
+    #: ablation baseline of multi-level collection).
     multi_level: bool = True
     #: Deterministic fault-injection schedule (chaos testing); ``None``
     #: leaves the runtime entirely unwrapped.
@@ -236,7 +237,6 @@ class P3CPlusMR:
                 poisson_alpha=self.config.poisson_alpha,
                 theta_cc=self.config.theta_cc,
                 redundancy_filter=self.config.redundancy_filter,
-                t_c=self.mr_config.t_c,
                 multi_level=self.mr_config.multi_level,
                 obs=obs,
                 weights=weights,

@@ -9,9 +9,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from concurrent.futures import BrokenExecutor
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.mapreduce import (
     Reducer,
     SerialExecutor,
     TaskFailedError,
+    TaskTimeoutError,
     ThreadExecutor,
     resolve_executor,
 )
@@ -150,6 +152,131 @@ class TestRunBatch:
             (EventKind.TASK_RETRY, 2),
             (EventKind.TASK_FAILED, 2),
         ]
+
+
+def _sleep_task(seconds: float):
+    started = time.perf_counter()
+    time.sleep(seconds)
+    return seconds, Counters(), time.perf_counter() - started
+
+
+class _HangingTasks:
+    """Task 0 raises on its first ``failures`` attempts; every other
+    task blocks until :attr:`release` is set, ``hang_s`` at most."""
+
+    def __init__(self, failures: int, hang_s: float) -> None:
+        self.failures = failures
+        self.hang_s = hang_s
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+
+    def __call__(self, task_id: int):
+        started = time.perf_counter()
+        if task_id == 0:
+            with self._lock:
+                self.failures -= 1
+                if self.failures >= 0:
+                    raise RuntimeError("task 0 fails")
+        else:
+            self.release.wait(self.hang_s)
+        return task_id, Counters(), time.perf_counter() - started
+
+
+class TestTaskDeadlines:
+    """A task timeout bounds an attempt's run time, not the time it
+    waits in the pool's queue for a worker."""
+
+    @staticmethod
+    def _run(
+        backend: Executor,
+        fn: Callable[..., Any],
+        calls: list[tuple],
+        events: EventLog,
+        max_attempts: int = 2,
+        task_timeout_s: float = 0.08,
+    ):
+        runner = TaskRunner(
+            backend, events, "deadlines", max_attempts, task_timeout_s
+        )
+        try:
+            return runner.run_phase(
+                "map", fn, calls, list(range(len(calls))), Counters()
+            )
+        finally:
+            backend.close()
+
+    def test_queue_time_does_not_count(self):
+        # Three waves of two 50 ms tasks: tasks 2-5 wait 50-100 ms for
+        # a worker, longer than the 80 ms timeout, and each runs 50 ms.
+        events = EventLog()
+        calls = [(0.05,)] * 6
+        results = self._run(ThreadExecutor(2), _sleep_task, calls, events)
+        assert [payload for payload, _ in results] == [0.05] * 6
+        assert not [e for e in events if e.kind == EventKind.TASK_TIMEOUT]
+
+    def test_run_past_the_deadline_times_out(self):
+        # Task 5 runs 300 ms on every attempt, after waiting its turn.
+        events = EventLog()
+        started = time.perf_counter()
+        calls = [(0.05,)] * 5 + [(0.3,)]
+        with pytest.raises(TaskFailedError) as info:
+            self._run(ThreadExecutor(2), _sleep_task, calls, events)
+        assert info.value.task_id == 5
+        assert isinstance(info.value.cause, TaskTimeoutError)
+        timeouts = [
+            (e.task_id, e.attempt) for e in events if e.kind == EventKind.TASK_TIMEOUT
+        ]
+        assert timeouts == [(5, 1), (5, 2)]
+        # Abandoned at its deadlines, not waited out (2 x 300 ms).
+        assert time.perf_counter() - started < 0.55
+
+    def test_retry_behind_hung_workers_fails_the_phase(self):
+        # Task 0's retry queues behind tasks 1 and 2, which hang in both
+        # workers: once both ran past their deadlines no worker frees up,
+        # so the retry's queue time counts and the phase fails.
+        tasks = _HangingTasks(failures=1, hang_s=2.0)
+        events = EventLog()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(TaskFailedError) as info:
+                self._run(
+                    ThreadExecutor(2),
+                    tasks,
+                    [(0,), (1,), (2,)],
+                    events,
+                    task_timeout_s=0.1,
+                )
+            elapsed = time.perf_counter() - started
+        finally:
+            tasks.release.set()
+        assert info.value.task_id == 0
+        assert isinstance(info.value.cause, TaskTimeoutError)
+        # One timeout for the retry, at most one more for the cleanup.
+        assert elapsed < 0.5
+
+    def test_cleanup_after_a_failed_phase_takes_one_timeout(self):
+        # Task 0 fails at once; tasks 1 and 2 still run in both workers
+        # and were never waited on.  Together they get one timeout, not
+        # one each, before their pool is retired.
+        tasks = _HangingTasks(failures=1, hang_s=0.9)
+        events = EventLog()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(TaskFailedError) as info:
+                self._run(
+                    ThreadExecutor(2),
+                    tasks,
+                    [(0,), (1,), (2,)],
+                    events,
+                    max_attempts=1,
+                    task_timeout_s=0.3,
+                )
+            elapsed = time.perf_counter() - started
+        finally:
+            tasks.release.set()
+        assert info.value.task_id == 0
+        assert isinstance(info.value.cause, RuntimeError)
+        assert elapsed < 0.45
 
 
 class _SpyExecutor(Executor):

@@ -25,6 +25,7 @@ from repro.data import GeneratorConfig, generate_synthetic
 from repro.eval import e4sc_score
 from repro.mapreduce.types import split_records
 from repro.mr import P3CPlusMR, P3CPlusMRConfig, P3CPlusMRLight
+from repro.mr.core_generation import collection_limit, stop_collecting
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ class TestLightEquivalence:
             mr_config=P3CPlusMRConfig(num_splits=4, multi_level=False)
         ).fit(small_dataset.data)
         multi = P3CPlusMRLight(
-            mr_config=P3CPlusMRConfig(num_splits=4, multi_level=True, t_c=50)
+            mr_config=P3CPlusMRConfig(num_splits=4, multi_level=True)
         ).fit(small_dataset.data)
         assert sorted(
             (c.core.signature for c in baseline.clusters),
@@ -104,16 +105,71 @@ def _grid_data(clusters: int, noise: float) -> np.ndarray:
 
 def _mr_core_phase(data: np.ndarray, num_splits: int, multi_level: bool):
     """The MR driver's own core phase (histogram job, interval
-    detection, core generation), without the stages after it."""
+    detection, core generation), without the stages after it: the
+    cores and the phase's diagnostics."""
     driver = P3CPlusMRLight(
         mr_config=P3CPlusMRConfig(num_splits=num_splits, multi_level=multi_level)
     )
     driver._begin_run()
     with driver._open_chain() as chain:
-        cores, _, _ = driver._run_core_phase(
+        cores, diagnostics, _ = driver._run_core_phase(
             split_records(data, num_splits), len(data), chain
         )
-    return cores
+    return cores, diagnostics
+
+
+class TestCollectionLimit:
+    """T_c = ⌊C / rows⌋: levels are collected only while counting them
+    over the interval index costs less than one more proving job."""
+
+    def test_limit_scales_inversely_with_index_rows(self):
+        assert collection_limit(5_000) == 2_000
+        assert collection_limit(200_000) == 50
+        assert collection_limit(400_000) == collection_limit(200_000) // 2
+
+    def test_small_indexes_keep_the_5000_row_limit(self):
+        assert collection_limit(1_000) == collection_limit(5_000)
+
+    def test_level_two_proven_alone_on_a_large_index(self):
+        # 17 relevant intervals join into 133 level-2 candidates (the
+        # light_wide plan): above T_c and growing at 2e5 rows, not at 5k.
+        assert stop_collecting(133, 133, 17, rows=200_000)
+        assert not stop_collecting(133, 133, 17, rows=5_000)
+
+    def test_collection_runs_to_the_end_on_a_small_index(self):
+        # Level sizes after level 1 (8 intervals) of a 3-cluster, d = 20
+        # data set at 5 000 rows: the batch stays under T_c = 2 000, so
+        # it is proven only at the first empty level.
+        previous, c_sum = 8, 0
+        for count in (27, 50, 55, 36, 13, 2, 0):
+            c_sum += count
+            assert stop_collecting(c_sum, count, previous, 5_000) == (count == 0)
+            previous = count
+
+    def test_large_index_collects_only_shrinking_levels(self):
+        # 10^5 rows (T_c = 100): every growing level is proven in its own
+        # job, so the plan equals prove-every-level's up to the first
+        # level that does not grow, which is generated from proven ones;
+        # the batch collected from there yields the same cores.
+        data = generate_synthetic(
+            GeneratorConfig(
+                n=100_000,
+                d=20,
+                num_clusters=5,
+                noise_fraction=0.1,
+                max_cluster_dims=6,
+                seed=11,
+            )
+        ).data
+        cores, collected = _mr_core_phase(data, 4, multi_level=True)
+        per_level_cores, per_level = _mr_core_phase(data, 4, multi_level=False)
+        assert cores == per_level_cores
+        plan = per_level["candidates_per_level"]
+        shrinks = next(j for j in range(1, len(plan)) if plan[j] <= plan[j - 1])
+        assert shrinks >= 3
+        head = collected["candidates_per_level"][: shrinks + 1]
+        assert head == plan[: shrinks + 1]
+        assert collected["proving_jobs"] < per_level["proving_jobs"]
 
 
 class TestCorePhaseParity:
@@ -128,7 +184,7 @@ class TestCorePhaseParity:
         data = _grid_data(clusters, noise)
         serial, _ = generate_cluster_cores(data, P3CPlusConfig())
         assert serial
-        assert _mr_core_phase(data, num_splits, multi_level) == serial
+        assert _mr_core_phase(data, num_splits, multi_level)[0] == serial
 
 
 class TestFullEquivalence:

@@ -130,6 +130,20 @@ class TestChiSquared:
     def test_empty_histogram_trivially_uniform(self):
         assert chi_squared_uniformity_pvalue(np.array([0, 0, 0])) == 1.0
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 18, 40, 126, 400])
+    def test_pvalue_equals_scipy_chi2_sf_bitwise(self, k):
+        # From near-uniform to far-spiked histograms at each bin count,
+        # so the p-values span 1 down to underflow.
+        rng = np.random.default_rng(k)
+        for spike in (0, 1, 10, 100, 1_000, 10_000):
+            counts = rng.poisson(50, size=k).astype(float)
+            counts[0] += spike
+            expected = counts.sum() / k
+            statistic = float(((counts - expected) ** 2 / expected).sum())
+            assert chi_squared_uniformity_pvalue(counts) == float(
+                sps.chi2.sf(statistic, df=k - 1)
+            )
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             chi_squared_uniformity_pvalue(np.array([1, -1]))
