@@ -76,10 +76,26 @@ class ExecOptions:
     resume: bool = False
     model_registry: str | None = None
     memory_budget_bytes: int | None = None
-    max_block_rows: int | None = None
     coreset_size: int | None = None
     coreset_mode: str = "uniform"
     coreset_seed: int = 0
+
+
+def _mr_config(opts: ExecOptions) -> P3CPlusMRConfig:
+    """The MR drivers' knobs (the Light driver ignores the coreset's)."""
+    return P3CPlusMRConfig(
+        executor=opts.executor,
+        max_workers=opts.max_workers,
+        fault_plan=opts.fault_plan,
+        task_timeout_s=opts.task_timeout_s,
+        checkpoint_dir=opts.checkpoint_dir,
+        resume=opts.resume,
+        model_registry=opts.model_registry,
+        memory_budget_bytes=opts.memory_budget_bytes,
+        coreset_size=opts.coreset_size,
+        coreset_mode=opts.coreset_mode,
+        coreset_seed=opts.coreset_seed,
+    )
 
 
 ALGORITHMS: dict[str, Callable[[P3CPlusConfig, ExecOptions], Any]] = {
@@ -94,38 +110,9 @@ ALGORITHMS: dict[str, Callable[[P3CPlusConfig, ExecOptions], Any]] = {
     ),
     "p3c-plus": lambda config, opts: P3CPlus(config),
     "p3c-plus-light": lambda config, opts: P3CPlusLight(config),
-    "mr": lambda config, opts: P3CPlusMR(
-        config,
-        P3CPlusMRConfig(
-            executor=opts.executor,
-            max_workers=opts.max_workers,
-            fault_plan=opts.fault_plan,
-            task_timeout_s=opts.task_timeout_s,
-            checkpoint_dir=opts.checkpoint_dir,
-            resume=opts.resume,
-            model_registry=opts.model_registry,
-            memory_budget_bytes=opts.memory_budget_bytes,
-            max_block_rows=opts.max_block_rows,
-            coreset_size=opts.coreset_size,
-            coreset_mode=opts.coreset_mode,
-            coreset_seed=opts.coreset_seed,
-        ),
-        obs=opts.obs,
-    ),
+    "mr": lambda config, opts: P3CPlusMR(config, _mr_config(opts), obs=opts.obs),
     "mr-light": lambda config, opts: P3CPlusMRLight(
-        config,
-        P3CPlusMRConfig(
-            executor=opts.executor,
-            max_workers=opts.max_workers,
-            fault_plan=opts.fault_plan,
-            task_timeout_s=opts.task_timeout_s,
-            checkpoint_dir=opts.checkpoint_dir,
-            resume=opts.resume,
-            model_registry=opts.model_registry,
-            memory_budget_bytes=opts.memory_budget_bytes,
-            max_block_rows=opts.max_block_rows,
-        ),
-        obs=opts.obs,
+        config, _mr_config(opts), obs=opts.obs
     ),
     "bow-light": lambda config, opts: BoW(
         config,
@@ -285,14 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "byte budget like '64m' or '2g'; the input streams from disk "
         "in budget-sized chunks (without --normalize the data matrix "
         "is never materialised in the driver)",
-    )
-    cluster.add_argument(
-        "--max-block-rows",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="explicit cap on rows per batch-mapper delivery "
-        "(default: whole splits, or derived from --memory-budget)",
     )
     cluster.add_argument(
         "--coreset-size",
@@ -690,7 +669,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         resume=args.resume,
         model_registry=args.register,
         memory_budget_bytes=memory_budget,
-        max_block_rows=args.max_block_rows,
         coreset_size=args.coreset_size,
         coreset_mode=args.coreset_mode or "uniform",
         coreset_seed=args.coreset_seed or 0,

@@ -44,10 +44,16 @@ def poisson_sf(observed: float, expected: float) -> float:
         raise ValueError(f"expected support must be >= 0, got {expected}")
     if expected == 0:
         return 0.0 if observed > 0 else 1.0
+    # poisson.sf's and norm.sf's own kernels, without the distribution
+    # wrappers' argument checks.  The one case the Poisson wrapper
+    # handles itself is a count below the support (observed <= 0),
+    # where the kernel returns NaN.
     if expected < GAUSSIAN_APPROX_MIN_LAMBDA:
-        return float(sps.poisson.sf(np.ceil(observed) - 1, expected))
+        if observed <= 0:
+            return 1.0
+        return float(spsp.pdtrc(np.ceil(observed) - 1, expected))
     z = (observed - 0.5 - expected) / np.sqrt(expected)
-    return float(sps.norm.sf(z))
+    return float(spsp.ndtr(-z))
 
 
 def poisson_log_sf(observed: float, expected: float) -> float:
@@ -59,9 +65,12 @@ def poisson_log_sf(observed: float, expected: float) -> float:
     if expected <= 0:
         return -np.inf if observed > 0 else 0.0
     if expected < GAUSSIAN_APPROX_MIN_LAMBDA:
-        return float(sps.poisson.logsf(np.ceil(observed) - 1, expected))
+        if observed <= 0:
+            return 0.0
+        sf = spsp.pdtrc(np.ceil(observed) - 1, expected)
+        return float(np.log(sf)) if sf > 0 else -np.inf
     z = (observed - 0.5 - expected) / np.sqrt(expected)
-    return float(sps.norm.logsf(z))
+    return float(spsp.log_ndtr(-z))
 
 
 def poisson_deviation_significant(

@@ -67,11 +67,11 @@ class JobChain:
         store is *restored* — its persisted output becomes the step
         result, a ``job_skipped`` event is emitted, and no tasks run.
         When false the store is still written, but never read.
-    memory_budget_bytes / max_block_rows:
-        Out-of-core knobs stamped onto every step's :class:`JobConf`:
-        a resident-input budget that bounds ``BatchMapper`` chunk sizes
-        for file-backed splits; ``max_block_rows`` pins the chunk size
-        explicitly.  Both ``None`` (default) deliver whole splits.
+    memory_budget_bytes:
+        Out-of-core knob stamped onto every step's :class:`JobConf`: a
+        resident-input budget that bounds ``BatchMapper`` chunk sizes
+        for file-backed splits.  ``None`` (default) delivers whole
+        splits.
     """
 
     def __init__(
@@ -81,7 +81,6 @@ class JobChain:
         resume: bool = False,
         run_id: str | None = None,
         memory_budget_bytes: int | None = None,
-        max_block_rows: int | None = None,
     ) -> None:
         if isinstance(runtime, RuntimeContext):
             # Service-plane path: the scheduler hands the chain a
@@ -97,7 +96,6 @@ class JobChain:
         self.checkpoint = checkpoint
         self.resume = resume
         self.memory_budget_bytes = memory_budget_bytes
-        self.max_block_rows = max_block_rows
         self._fingerprint = ""
 
     def run(
@@ -114,7 +112,6 @@ class JobChain:
             name=name,
             num_splits=num_splits if num_splits is not None else len(splits),
             num_reducers=num_reducers,
-            max_block_rows=self.max_block_rows,
             memory_budget_bytes=self.memory_budget_bytes,
             extra=extra,
         )

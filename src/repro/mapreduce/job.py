@@ -86,8 +86,8 @@ class BatchMapper(Mapper):
     overriding :meth:`map_batch` alone serves both paths.
 
     ``map_batch`` may be called *multiple times per task*: under
-    ``JobConf.max_block_rows`` (or a derived memory budget) the runtime
-    streams a file-backed split in bounded chunks instead of one block.
+    ``JobConf.memory_budget_bytes`` the runtime streams a file-backed
+    split in bounded chunks instead of one block.
     Implementations must therefore accumulate across calls — emit
     per-chunk or buffer and finish in :meth:`cleanup` — and never
     assume the first batch is the whole split.

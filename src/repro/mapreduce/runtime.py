@@ -214,25 +214,6 @@ class JobResult:
         return out
 
 
-def _resolve_block_rows(split: InputSplit, conf: JobConf) -> int | None:
-    """Rows per ``BatchMapper`` delivery for one split.
-
-    The explicit ``max_block_rows`` knob wins; otherwise a memory
-    budget is translated into a row cap for file-backed splits that
-    report their row width (``records.row_nbytes``), sized so one
-    resident chunk takes roughly a quarter of the budget.  ``None``
-    keeps the historical whole-split delivery.
-    """
-    if conf.max_block_rows is not None:
-        return conf.max_block_rows
-    if conf.memory_budget_bytes is None:
-        return None
-    row_nbytes = getattr(split.records, "row_nbytes", None)
-    if not row_nbytes:
-        return None
-    return max(1, conf.memory_budget_bytes // (4 * int(row_nbytes)))
-
-
 def _run_map_task(
     job: Job,
     split: InputSplit,
@@ -244,7 +225,7 @@ def _run_map_task(
     map-side partitioning.  The payload is a flat pair list for
     map-only jobs and a per-partition bucket list otherwise.  A
     :class:`BatchMapper` receives the split as one block, or — under
-    ``max_block_rows`` / a memory budget — as a stream of bounded
+    a memory budget, for file-backed splits — as a stream of bounded
     chunks (multiple ``map_batch`` calls per task).
     """
     started = time.perf_counter()
@@ -254,7 +235,7 @@ def _run_map_task(
     mapper.setup(ctx)
     n_records = 0
     blocks = (
-        iter_split_blocks(split, _resolve_block_rows(split, conf))
+        iter_split_blocks(split, conf.memory_budget_bytes)
         if isinstance(mapper, BatchMapper)
         else None
     )

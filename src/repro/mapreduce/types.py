@@ -124,39 +124,28 @@ def split_block(split: "InputSplit") -> tuple[Sequence[Any], np.ndarray] | None:
 
 
 def iter_split_blocks(
-    split: "InputSplit", max_rows: int | None = None
+    split: "InputSplit", memory_budget_bytes: int | None = None
 ) -> "Iterator[tuple[Sequence[Any], np.ndarray]] | None":
     """Batched view of a split: an iterator of ``(keys, block)`` chunks.
 
-    With ``max_rows=None`` this is :func:`split_block` in iterator
-    clothing — one whole-split batch, the classic delivery.  With a cap,
-    record containers that can stream chunks straight from storage
-    (the ``iter_blocks(max_rows)`` hook: file-backed CSV/npy splits)
-    never materialise the split at all, so a mapper task's peak memory
-    is bounded by one chunk; in-memory containers fall back to slicing
-    views out of the one block.  Returns ``None`` when the records
+    Under a memory budget, record containers that stream chunks
+    straight from storage (file-backed CSV/npy splits, which expose
+    ``iter_blocks(max_rows)`` and ``row_nbytes``) deliver chunks of
+    ``memory_budget_bytes // (4 * row_nbytes)`` rows: one resident
+    chunk takes about a quarter of the budget, and the split is never
+    materialised.  Otherwise this is :func:`split_block` in iterator
+    clothing — one whole-split batch.  Returns ``None`` when the records
     cannot form 2-D blocks (the runtime then uses per-record ``map()``
     delivery).
     """
     records = split.records
-    if max_rows is not None:
-        if max_rows < 1:
-            raise ValueError("max_rows must be >= 1")
-        hook = getattr(records, "iter_blocks", None)
-        if hook is not None:
-            return hook(max_rows)
+    row_nbytes = getattr(records, "row_nbytes", None)
+    if memory_budget_bytes is not None and row_nbytes:
+        return records.iter_blocks(
+            max(1, memory_budget_bytes // (4 * int(row_nbytes)))
+        )
     batch = split_block(split)
-    if batch is None:
-        return None
-    keys, block = batch
-    if max_rows is None or len(keys) <= max_rows:
-        return iter((batch,))
-
-    def chunks() -> Iterator[tuple[Sequence[Any], np.ndarray]]:
-        for lo in range(0, len(keys), max_rows):
-            yield keys[lo : lo + max_rows], block[lo : lo + max_rows]
-
-    return chunks()
+    return None if batch is None else iter((batch,))
 
 
 def split_records(
@@ -203,15 +192,11 @@ class JobConf:
     num_reducers: int = 1
     #: Hadoop-style task re-execution budget (1 = fail fast).
     max_task_attempts: int = 2
-    #: Cap on rows per ``BatchMapper.map_batch`` delivery.  ``None``
-    #: delivers each split as one block; with a cap the runtime streams
-    #: the split in chunks (see :func:`iter_split_blocks`) so a map
-    #: task's peak memory is bounded by one chunk, not one split.
-    max_block_rows: int | None = None
     #: Byte budget for a map task's resident input: file-backed splits
-    #: that report their row width are delivered in budget-derived
-    #: chunks (a ``max_block_rows`` of its own).  ``None`` delivers
-    #: whole splits.
+    #: that report their row width are delivered to a ``BatchMapper``
+    #: in budget-derived chunks (see :func:`iter_split_blocks`), so a
+    #: map task's peak memory is bounded by one chunk, not one split.
+    #: ``None`` delivers whole splits.
     memory_budget_bytes: int | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
@@ -222,8 +207,6 @@ class JobConf:
             raise ValueError("num_reducers must be >= 0")
         if self.max_task_attempts < 1:
             raise ValueError("max_task_attempts must be >= 1")
-        if self.max_block_rows is not None and self.max_block_rows < 1:
-            raise ValueError("max_block_rows must be >= 1")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 1:
             raise ValueError("memory_budget_bytes must be >= 1")
 

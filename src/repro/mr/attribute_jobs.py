@@ -87,8 +87,8 @@ def run_cluster_histogram_job(
 
 
 class AIProvingMapper(BufferedBatchMapper):
-    """Counts, per cluster, its member count and the members inside each
-    suggested interval (the AI-proving support job)."""
+    """Counts, per cluster, the members inside each suggested interval
+    (the AI-proving support job)."""
 
     def setup(self, context: Context) -> None:
         super().setup(context)
@@ -99,16 +99,12 @@ class AIProvingMapper(BufferedBatchMapper):
         if data is None:
             return
         labels = context.cache["membership"][self.split_keys()]
-        for cid in np.unique(labels):
-            if cid < 0:
-                continue
-            context.emit(("size", int(cid)), int((labels == cid).sum()))
         for cid, interval in self._candidates:
             members = data[labels == cid]
             if len(members) == 0:
                 continue
             inside = interval.contains_column(members[:, interval.attribute])
-            context.emit(("supp", int(cid), interval), int(inside.sum()))
+            context.emit((int(cid), interval), int(inside.sum()))
 
 
 class IntSumReducer(Reducer):
@@ -122,8 +118,10 @@ def run_ai_proving_job(
     membership: np.ndarray,
     candidates: list[tuple[int, Interval]],
     step_name: str = "ai_proving",
-) -> tuple[dict[int, int], dict[tuple[int, Interval], int]]:
-    """Returns ``(cluster sizes, interval support per (cluster, interval))``."""
+) -> dict[tuple[int, Interval], int]:
+    """Members of each candidate's cluster inside its interval, keyed by
+    ``(cluster, interval)``.  Cluster sizes are the driver's: it holds
+    the membership vector."""
     job = Job(
         mapper_factory=AIProvingMapper,
         reducer_factory=IntSumReducer,
@@ -132,11 +130,4 @@ def run_ai_proving_job(
         ),
     )
     result = chain.run(step_name, job, splits, num_reducers=1)
-    sizes: dict[int, int] = {}
-    supports: dict[tuple[int, Interval], int] = {}
-    for key, value in result.output:
-        if key[0] == "size":
-            sizes[key[1]] = value
-        else:
-            supports[(key[1], key[2])] = value
-    return sizes, supports
+    return result.as_dict()

@@ -76,7 +76,7 @@ def mr_attribute_inspection(
         return {cid: frozenset(attrs) for cid, attrs in accepted.items()}
 
     if prove:
-        _, supports = run_ai_proving_job(chain, splits, membership, candidates)
+        supports = run_ai_proving_job(chain, splits, membership, candidates)
         for (cid, interval), observed in supports.items():
             expected = sizes[cid] * interval.width
             if not poisson_deviation_significant(observed, expected, poisson_alpha):

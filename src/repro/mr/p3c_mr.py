@@ -19,6 +19,12 @@ gives the paper's count).  OD runs the fitted serving model's
 
 Relevant-interval detection stays in the driver (Section 5.2: at most
 ``d * k`` chi-squared statistics — parallelising it buys nothing).
+
+:meth:`P3CPlusMR.fit_splits` is the one fit pipeline.  Jobs 3-6 are its
+labelling step (:meth:`P3CPlusMR._label`); the Light driver swaps in
+its membership job there (Section 6).  The coreset path runs the
+pipeline on a weighted summary and labels every point in one more
+map-only pass.
 """
 
 from __future__ import annotations
@@ -101,10 +107,6 @@ class P3CPlusMRConfig:
     #: file-backed splits stream to batch mappers in budget-sized
     #: chunks.  ``None`` delivers whole splits.
     memory_budget_bytes: int | None = None
-    #: Explicit cap on rows per ``BatchMapper`` delivery (``None`` =
-    #: whole-split blocks, or budget-derived chunks when a memory
-    #: budget is set).
-    max_block_rows: int | None = None
     #: Approximate fast path: target size of the one-pass weighted
     #: summary the chain runs on (``None`` = exact run over all
     #: points).  A size >= n silently falls back to the exact path.
@@ -116,8 +118,31 @@ class P3CPlusMRConfig:
     coreset_seed: int = 0
 
 
+@dataclass(frozen=True)
+class FitPoints:
+    """The points a fit's chain runs on: every point, or a coreset
+    summary standing in for them."""
+
+    splits: list[InputSplit]
+    #: Rows in ``splits``.
+    rows: int
+    #: Points the rows stand for: ``rows``, or the summary's total
+    #: weight (the naive OD counts are normalised by it).
+    total_weight: float
+    #: Per-row weights; ``None`` for unit weights.
+    weights: np.ndarray | None = None
+    #: The summary's ``coreset`` diagnostics; ``None`` on the exact path.
+    summary: dict | None = None
+
+
 class P3CPlusMR:
     """The full P3C+-MR algorithm."""
+
+    #: Name of the fit's ``run`` span; the coreset path appends
+    #: ``_coreset``.
+    span_name = "p3c_plus_mr"
+    #: Whether ``mr_config.coreset_size`` selects the coreset path.
+    summarises = True
 
     def __init__(
         self,
@@ -140,8 +165,6 @@ class P3CPlusMR:
         #: ``mr_config.model_registry`` is set.
         self.fitted_model = None
         self.model_id: str | None = None
-
-    # -- shared front half (also used by the Light driver) -------------
 
     def _begin_run(self) -> Observability:
         """Scope observability to this fit: per-run spans and metrics.
@@ -185,7 +208,6 @@ class P3CPlusMR:
             resume=mr_config.resume,
             run_id=getattr(self.obs, "run_id", None),
             memory_budget_bytes=mr_config.memory_budget_bytes,
-            max_block_rows=mr_config.max_block_rows,
         )
         self.chain = chain
         with runtime:
@@ -253,19 +275,7 @@ class P3CPlusMR:
         }
         return cores, diagnostics, index
 
-    def _empty_result(
-        self, n: int, d: int, diagnostics: dict, chain: JobChain
-    ) -> ClusteringResult:
-        diagnostics["mr_jobs"] = chain.num_jobs
-        return ClusteringResult(
-            clusters=[],
-            outliers=np.arange(n),
-            n_points=n,
-            n_dims=d,
-            metadata=diagnostics,
-        )
-
-    # -- full pipeline ---------------------------------------------------
+    # -- the fit pipeline ------------------------------------------------
 
     def fit(self, data: np.ndarray) -> ClusteringResult:
         """Cluster an in-memory data matrix."""
@@ -279,190 +289,243 @@ class P3CPlusMR:
     ) -> ClusteringResult:
         """Cluster from pre-built input splits (in-memory or
         file-backed, see :func:`repro.mapreduce.fs.make_csv_splits`);
-        the driver never materialises the data matrix."""
-        coreset_size = self.mr_config.coreset_size
-        if coreset_size is not None and coreset_size < n:
-            return self._fit_splits_coreset(splits, n, d)
-        obs = self._begin_run()
-        with obs.run("p3c_plus_mr", n=n, d=d), self._open_chain() as chain:
-            cores, diagnostics, _ = self._run_core_phase(splits, n, chain)
-            if not cores:
-                return self._empty_result(n, d, diagnostics, chain)
+        the driver never materialises the data matrix.
 
-            with obs.stage("em"):
-                mixture = run_em_mr(
-                    chain,
-                    splits,
-                    cores,
-                    n,
-                    max_iter=self.config.em_max_iter,
-                    obs=obs,
-                )
-            diagnostics["em_iterations"] = len(mixture.log_likelihood_history)
-
-            with obs.stage("outlier_detection", method=self.config.outlier_method):
-                if self.config.outlier_method == "mvb":
-                    od_means, od_covs, moment_counts = run_mvb_jobs(
-                        chain, splits, mixture
-                    )
-                else:
-                    od_means, od_covs = mixture.means, mixture.covariances
-                    moment_counts = mixture.weights * n
-                self._register_fitted(
-                    algorithm="mr",
-                    cores=cores,
-                    mixture=mixture,
-                    od_means=od_means,
-                    od_covariances=od_covs,
-                    od_counts=np.asarray(moment_counts, dtype=float),
-                    num_bins=diagnostics["num_bins"],
-                    n=n,
-                    d=d,
-                )
-                membership = run_od_job(chain, splits, self.fitted_model, n)
-                obs.gauge(
-                    "outliers.removed", int((membership == -1).sum())
-                )
-            diagnostics["moment_jobs"] = _moment_jobs(chain)
-            return self._finish(
-                splits, n, d, chain, cores, membership, diagnostics
-            )
-
-    def _fit_splits_coreset(
-        self, splits: list[InputSplit], n: int, d: int
-    ) -> ClusteringResult:
-        """Approximate fast path: fit the chain on a one-pass weighted
-        summary, then label the full data with one map-only pass.
-
-        Exactly two full-data scans (summary build + final assignment)
-        regardless of EM iteration count; every other job runs on the
-        ``m << n`` summary with the weighted kernels.  Statistics run at
-        the summary's effective sample size so proving power is honest.
+        The steps: an optional coreset summary, the core phase, the
+        labelling step (:meth:`_label`), attribute inspection and
+        tightening, the full-data assignment pass (coreset path only),
+        and the result, whose members and outliers come from the final
+        assignment.
         """
-        mr_config = self.mr_config
+        size = self.mr_config.coreset_size
+        coreset = self.summarises and size is not None and size < n
         obs = self._begin_run()
-        with (
-            obs.run("p3c_plus_mr_coreset", n=n, d=d),
-            self._open_chain() as chain,
-        ):
-            with obs.stage("coreset_summary", mode=mr_config.coreset_mode):
-                started = time.perf_counter()
-                summary = build_coreset(
+        span_name = self.span_name + ("_coreset" if coreset else "")
+        with obs.run(span_name, n=n, d=d), self._open_chain() as chain:
+            if coreset:
+                points = self._summarise(chain, splits, size)
+                ess = points.summary["effective_size"]
+                cores, diagnostics, index = self._run_core_phase(
+                    points.splits,
+                    max(1, round(ess)),
                     chain,
-                    splits,
-                    mr_config.coreset_size,
-                    mode=mr_config.coreset_mode,
-                    seed=mr_config.coreset_seed,
+                    weights=points.weights,
+                    effective_n=ess,
                 )
-                build_s = time.perf_counter() - started
-                weights = canonical_weights(summary.weights)
-                ess = (
-                    summary.effective_size
-                    if weights is not None
-                    else float(summary.size)
+                diagnostics["coreset"] = points.summary
+            else:
+                points = FitPoints(splits=splits, rows=n, total_weight=n)
+                cores, diagnostics, index = self._run_core_phase(splits, n, chain)
+            if not cores:
+                diagnostics["mr_jobs"] = chain.num_jobs
+                return ClusteringResult(
+                    clusters=[],
+                    outliers=np.arange(n),
+                    n_points=n,
+                    n_dims=d,
+                    metadata=diagnostics,
                 )
-                obs.gauge("mr.coreset_points", summary.size)
-                obs.record("mr.coreset_build_s", build_s)
-                obs.gauge("mr.coreset_total_weight", summary.total_weight)
-                obs.gauge("mr.coreset_effective_size", ess)
 
-            m = summary.size
-            summary_splits = split_records(
-                summary.points, min(mr_config.num_splits, m)
+            membership, assignment = self._label(
+                chain, points, cores, index, diagnostics, n, d
             )
-            total_weight = summary.total_weight
+            attributes, signatures = self._inspect(
+                chain, points.splits, cores, membership
+            )
+            if coreset:
+                with obs.stage("coreset_assign"):
+                    assignment = run_assign_job(
+                        chain, splits, self.fitted_model, n
+                    )
 
-            cores, diagnostics, _ = self._run_core_phase(
-                summary_splits,
-                max(1, round(ess)),
+            clusters = [
+                ProjectedCluster(
+                    members=np.flatnonzero(assignment == j),
+                    relevant_attributes=frozenset(attrs),
+                    signature=signatures.get(j),
+                    core=cores[j],
+                )
+                for j, attrs in attributes.items()
+            ]
+            assigned = np.zeros(n, dtype=bool)
+            for cluster in clusters:
+                assigned[cluster.members] = True
+            outliers = np.flatnonzero(~assigned)
+            diagnostics["mr_jobs"] = chain.num_jobs
+            diagnostics["shuffle_records"] = chain.total_shuffle_records
+            obs.gauge("clusters.found", len(clusters))
+            obs.gauge("outliers.final", len(outliers))
+            return ClusteringResult(
+                clusters=clusters,
+                outliers=outliers,
+                n_points=n,
+                n_dims=d,
+                metadata=diagnostics,
+            )
+
+    def _summarise(
+        self, chain: JobChain, splits: list[InputSplit], size: int
+    ) -> FitPoints:
+        """The one-pass weighted summary the coreset path fits in place
+        of ``splits``.
+
+        Every later job but the final assignment runs on its ``m << n``
+        rows with the weighted kernels, at the summary's effective
+        sample size, so proving power stays honest.
+        """
+        mr_config, obs = self.mr_config, self.obs
+        with obs.stage("coreset_summary", mode=mr_config.coreset_mode):
+            started = time.perf_counter()
+            summary = build_coreset(
                 chain,
-                weights=weights,
-                effective_n=ess,
+                splits,
+                size,
+                mode=mr_config.coreset_mode,
+                seed=mr_config.coreset_seed,
             )
+            build_s = time.perf_counter() - started
+            weights = canonical_weights(summary.weights)
+            ess = (
+                summary.effective_size
+                if weights is not None
+                else float(summary.size)
+            )
+            obs.gauge("mr.coreset_points", summary.size)
+            obs.record("mr.coreset_build_s", build_s)
+            obs.gauge("mr.coreset_total_weight", summary.total_weight)
+            obs.gauge("mr.coreset_effective_size", ess)
+        m = summary.size
+        return FitPoints(
+            splits=split_records(summary.points, min(mr_config.num_splits, m)),
+            rows=m,
+            total_weight=summary.total_weight,
+            weights=weights,
             # No timings here: result metadata must stay byte-identical
             # across executors and chaos runs (build_s lives in the
             # mr.coreset_build_s obs series instead).
-            diagnostics["coreset"] = {
+            summary={
                 "mode": summary.mode,
                 "requested_size": summary.requested_size,
                 "size": m,
-                "total_weight": total_weight,
+                "total_weight": summary.total_weight,
                 "effective_size": ess,
-            }
-            if not cores:
-                return self._empty_result(n, d, diagnostics, chain)
+            },
+        )
 
-            with obs.stage("em", coreset=True):
-                mixture = run_em_mr(
-                    chain,
-                    summary_splits,
-                    cores,
-                    m,
-                    max_iter=self.config.em_max_iter,
-                    obs=obs,
-                    point_weights=weights,
-                )
-            diagnostics["em_iterations"] = len(mixture.log_likelihood_history)
+    def _label(
+        self,
+        chain: JobChain,
+        points: FitPoints,
+        cores,
+        index,
+        diagnostics: dict,
+        n: int,
+        d: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The labelling step: EM, the OD moments (MVB, or the
+        mixture's own for naive OD) and the OD job over the fit's rows.
 
-            with obs.stage("outlier_detection", method=self.config.outlier_method):
-                if self.config.outlier_method == "mvb":
-                    od_means, od_covs, moment_counts = run_mvb_jobs(
-                        chain, summary_splits, mixture, point_weights=weights
-                    )
-                else:
-                    od_means, od_covs = mixture.means, mixture.covariances
-                    # Mixture weights were normalised by the total
-                    # weight, so this is already the full-data count.
-                    moment_counts = mixture.weights * total_weight
-                self._register_fitted(
-                    algorithm="mr",
-                    cores=cores,
-                    mixture=mixture,
-                    od_means=od_means,
-                    od_covariances=od_covs,
-                    od_counts=np.asarray(moment_counts, dtype=float),
-                    num_bins=diagnostics["num_bins"],
-                    n=n,
-                    d=d,
-                )
-                membership = run_od_job(
-                    chain, summary_splits, self.fitted_model, m
-                )
-            diagnostics["moment_jobs"] = _moment_jobs(chain)
-
-            # AI + tightening characterise the clusters (their relevant
-            # attributes and output signatures) on the summary; the one
-            # remaining full-data pass assigns every original point.
-            result = self._finish(
-                summary_splits, m, d, chain, cores, membership, diagnostics
+        Registers the serving model and returns the membership that
+        attribute inspection reads and the assignment of the fit's
+        rows; here both are the OD job's labels.
+        """
+        obs, config = self.obs, self.config
+        em_attrs = {"coreset": True} if points.summary is not None else {}
+        with obs.stage("em", **em_attrs):
+            mixture = run_em_mr(
+                chain,
+                points.splits,
+                cores,
+                points.rows,
+                max_iter=config.em_max_iter,
+                obs=obs,
+                point_weights=points.weights,
             )
-            with obs.stage("coreset_assign"):
-                assignment = run_assign_job(
-                    chain, splits, self.fitted_model, n
+        diagnostics["em_iterations"] = len(mixture.log_likelihood_history)
+
+        with obs.stage("outlier_detection", method=config.outlier_method):
+            if config.outlier_method == "mvb":
+                od_means, od_covs, moment_counts = run_mvb_jobs(
+                    chain, points.splits, mixture, point_weights=points.weights
                 )
-            # _finish counted jobs before the assignment pass ran.
-            diagnostics["mr_jobs"] = chain.num_jobs
-            diagnostics["shuffle_records"] = chain.total_shuffle_records
-            for cluster in result.clusters:
-                j = cores.index(cluster.core)
-                cluster.members = np.where(assignment == j)[0]
-            assigned = np.zeros(n, dtype=bool)
-            for cluster in result.clusters:
-                assigned[cluster.members] = True
-            result.outliers = np.where(~assigned)[0]
-            result.n_points = n
-            obs.gauge("outliers.final", int((~assigned).sum()))
-            return result
+            else:
+                od_means, od_covs = mixture.means, mixture.covariances
+                # Mixture weights are normalised by the total weight, so
+                # this is the count of points each component stands for.
+                moment_counts = mixture.weights * points.total_weight
+            self._register_fitted(
+                algorithm="mr",
+                cores=cores,
+                mixture=mixture,
+                od_means=od_means,
+                od_covariances=od_covs,
+                od_counts=np.asarray(moment_counts, dtype=float),
+                num_bins=diagnostics["num_bins"],
+                n=n,
+                d=d,
+            )
+            membership = run_od_job(
+                chain, points.splits, self.fitted_model, points.rows
+            )
+            if points.summary is None:
+                # The gauge counts data points, not a summary's rows.
+                obs.gauge("outliers.removed", int((membership == -1).sum()))
+        diagnostics["moment_jobs"] = _moment_jobs(chain)
+        return membership, membership
+
+    def _inspect(
+        self,
+        chain: JobChain,
+        splits: list[InputSplit],
+        cores,
+        membership: np.ndarray,
+    ) -> tuple[dict[int, tuple[int, ...]], dict]:
+        """Attribute inspection + tightening over ``membership``.
+
+        Returns the relevant attributes of each cluster that has
+        members and at least one relevant attribute (the clusters the
+        result reports), and their tightened signatures.
+        """
+        obs, config = self.obs, self.config
+        sizes = {
+            j: int((membership == j).sum()) for j in range(len(cores))
+        }
+        known = {j: core.attributes for j, core in enumerate(cores)}
+        with obs.stage("attribute_inspection", prove=config.ai_proving):
+            attributes = mr_attribute_inspection(
+                chain,
+                splits,
+                membership,
+                known,
+                sizes,
+                chi2_alpha=config.chi2_alpha,
+                prove=config.ai_proving,
+                poisson_alpha=config.poisson_alpha,
+                theta_cc=config.theta_cc,
+                max_bins=config.max_bins,
+                obs=obs,
+            )
+
+        cluster_attributes = {
+            j: tuple(sorted(attributes[j]))
+            for j in range(len(cores))
+            if sizes[j] > 0 and attributes.get(j)
+        }
+        with obs.stage("tightening"):
+            signatures = run_tightening_job(
+                chain, splits, membership, cluster_attributes
+            )
+        return cluster_attributes, signatures
 
     def _register_fitted(
         self,
         *,
         algorithm: str,
         cores,
-        mixture,
-        od_means,
-        od_covariances,
-        od_counts,
+        mixture=None,
+        od_means=None,
+        od_covariances=None,
+        od_counts=None,
         num_bins: int,
         n: int,
         d: int,
@@ -488,73 +551,3 @@ class P3CPlusMR:
             registry = ModelRegistry(self.mr_config.model_registry)
             self.model_id = registry.save(self.fitted_model, tags=("latest",))
             self.obs.count("serving.models_registered")
-
-    def _finish(
-        self,
-        splits: list[InputSplit],
-        n: int,
-        d: int,
-        chain: JobChain,
-        cores,
-        membership: np.ndarray,
-        diagnostics: dict,
-    ) -> ClusteringResult:
-        """Attribute inspection + tightening + result assembly, shared
-        between the full and Light drivers."""
-        obs = self.obs
-        sizes = {
-            j: int((membership == j).sum()) for j in range(len(cores))
-        }
-        known = {j: core.attributes for j, core in enumerate(cores)}
-        with obs.stage("attribute_inspection", prove=self.config.ai_proving):
-            attributes = mr_attribute_inspection(
-                chain,
-                splits,
-                membership,
-                known,
-                sizes,
-                chi2_alpha=self.config.chi2_alpha,
-                prove=self.config.ai_proving,
-                poisson_alpha=self.config.poisson_alpha,
-                theta_cc=self.config.theta_cc,
-                max_bins=self.config.max_bins,
-                obs=obs,
-            )
-
-        cluster_attributes = {
-            j: tuple(sorted(attributes[j]))
-            for j in range(len(cores))
-            if sizes.get(j, 0) > 0 and attributes.get(j)
-        }
-        with obs.stage("tightening"):
-            signatures = run_tightening_job(
-                chain, splits, membership, cluster_attributes
-            )
-
-        clusters: list[ProjectedCluster] = []
-        for j, core in enumerate(cores):
-            if j not in cluster_attributes:
-                continue
-            members = np.where(membership == j)[0]
-            clusters.append(
-                ProjectedCluster(
-                    members=members,
-                    relevant_attributes=frozenset(cluster_attributes[j]),
-                    signature=signatures.get(j),
-                    core=core,
-                )
-            )
-        assigned = np.zeros(n, dtype=bool)
-        for cluster in clusters:
-            assigned[cluster.members] = True
-        diagnostics["mr_jobs"] = chain.num_jobs
-        diagnostics["shuffle_records"] = chain.total_shuffle_records
-        obs.gauge("clusters.found", len(clusters))
-        obs.gauge("outliers.final", int((~assigned).sum()))
-        return ClusteringResult(
-            clusters=clusters,
-            outliers=np.where(~assigned)[0],
-            n_points=n,
-            n_dims=d,
-            metadata=diagnostics,
-        )

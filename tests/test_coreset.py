@@ -27,6 +27,7 @@ from repro.core.stats import effective_sample_size
 from repro.core.types import ClusterCore, Interval, Signature
 from repro.eval import e4sc_score
 from repro.mapreduce import Counters, JobChain, MapReduceRuntime, split_records
+from repro.mapreduce.fs import make_npy_splits
 from repro.mr import P3CPlusMR, P3CPlusMRConfig
 from repro.mr.coreset import (
     SUPPORTED_MODES,
@@ -374,7 +375,7 @@ class TestEffectiveSampleSize:
 
 
 class TestAssignJob:
-    def test_matches_serving_scorer(self, small_dataset):
+    def test_matches_serving_scorer(self, small_dataset, tmp_path):
         driver = P3CPlusMR(
             P3CPlusConfig(outlier_method="mvb"),
             P3CPlusMRConfig(num_splits=4),
@@ -386,17 +387,21 @@ class TestAssignJob:
             _chain(), splits, driver.fitted_model, len(small_dataset.data)
         )
         assert np.array_equal(membership, expected)
-        # Chunked delivery scores chunk by chunk: same labels, one
-        # packed record per chunk.
+        # Chunked delivery of file-backed splits scores chunk by chunk:
+        # same labels, one packed record per chunk.
+        path = tmp_path / "data.npy"
+        np.save(path, small_dataset.data)
+        npy_splits, n, _ = make_npy_splits(path, 5)
         rows = 97
-        chain = JobChain(MapReduceRuntime(executor="serial"), max_block_rows=rows)
-        chunked = run_assign_job(
-            chain, splits, driver.fitted_model, len(small_dataset.data)
+        chain = JobChain(
+            MapReduceRuntime(executor="serial"),
+            memory_budget_bytes=4 * rows * npy_splits[0].records.row_nbytes,
         )
+        chunked = run_assign_job(chain, npy_splits, driver.fitted_model, n)
         assert np.array_equal(chunked, membership)
         counters = chain.steps[-1].result.counters
         assert counters.framework_value(Counters.MAP_OUTPUT_RECORDS) == sum(
-            -(-len(split) // rows) for split in splits
+            -(-len(split) // rows) for split in npy_splits
         )
 
 

@@ -324,8 +324,10 @@ class TestOutOfCoreClustering:
         self, csv_file, tiny_dataset
     ):
         splits, n, d = make_csv_splits(csv_file, 4)
+        # A budget of four 7-row chunks delivers 7 rows at a time.
+        budget = 4 * 7 * splits[0].records.row_nbytes
         chunked = P3CPlusMRLight(
-            mr_config=P3CPlusMRConfig(num_splits=4, max_block_rows=7)
+            mr_config=P3CPlusMRConfig(num_splits=4, memory_budget_bytes=budget)
         ).fit_splits(splits, n, d)
         whole = P3CPlusMRLight(
             mr_config=P3CPlusMRConfig(num_splits=4)

@@ -22,10 +22,12 @@ from repro.core.p3c_plus import (
     generate_cluster_cores,
 )
 from repro.data import GeneratorConfig, generate_synthetic
+from repro.data.io import result_to_dict
 from repro.eval import e4sc_score
 from repro.mapreduce.types import split_records
 from repro.mr import P3CPlusMR, P3CPlusMRConfig, P3CPlusMRLight
 from repro.mr.core_generation import collection_limit, stop_collecting
+from repro.obs import Observability
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +230,171 @@ class TestFullEquivalence:
         full_jobs = full.fit(small_dataset.data).metadata["mr_jobs"]
         light_jobs = light.fit(small_dataset.data).metadata["mr_jobs"]
         assert light_jobs < full_jobs
+
+
+@lru_cache(maxsize=None)
+def _shared_data() -> np.ndarray:
+    """Data whose Light fit has points shared between cores (40)."""
+    return generate_synthetic(
+        GeneratorConfig(
+            n=5_000,
+            d=12,
+            num_clusters=4,
+            noise_fraction=0.10,
+            max_cluster_dims=5,
+            seed=0,
+        )
+    ).data
+
+
+#: Each driver of the one fit pipeline: (class, outlier method, coreset
+#: size, coreset mode).
+PIPELINES = {
+    "exact_mvb": (P3CPlusMR, "mvb", None, "uniform"),
+    "exact_naive": (P3CPlusMR, "naive", None, "uniform"),
+    "coreset_uniform": (P3CPlusMR, "mvb", 1_500, "uniform"),
+    "coreset_lightweight": (P3CPlusMR, "naive", 1_500, "lightweight"),
+    "light": (P3CPlusMRLight, "mvb", None, "uniform"),
+}
+
+CORE_STAGES = [("histograms", {}), ("interval_detection", {}), ("core_generation", {})]
+INSPECTION_STAGES = [("attribute_inspection", {"prove": True}), ("tightening", {})]
+
+#: The run span and the stage spans under it, in order, with their
+#: attributes.
+SPANS = {
+    "exact_mvb": [("p3c_plus_mr", {"n": 5_000, "d": 12})]
+    + CORE_STAGES
+    + [("em", {}), ("outlier_detection", {"method": "mvb"})]
+    + INSPECTION_STAGES,
+    "exact_naive": [("p3c_plus_mr", {"n": 5_000, "d": 12})]
+    + CORE_STAGES
+    + [("em", {}), ("outlier_detection", {"method": "naive"})]
+    + INSPECTION_STAGES,
+    "coreset_uniform": [
+        ("p3c_plus_mr_coreset", {"n": 5_000, "d": 12}),
+        ("coreset_summary", {"mode": "uniform"}),
+    ]
+    + CORE_STAGES
+    + [("em", {"coreset": True}), ("outlier_detection", {"method": "mvb"})]
+    + INSPECTION_STAGES
+    + [("coreset_assign", {})],
+    "coreset_lightweight": [
+        ("p3c_plus_mr_coreset", {"n": 5_000, "d": 12}),
+        ("coreset_summary", {"mode": "lightweight"}),
+    ]
+    + CORE_STAGES
+    + [("em", {"coreset": True}), ("outlier_detection", {"method": "naive"})]
+    + INSPECTION_STAGES
+    + [("coreset_assign", {})],
+    "light": [("p3c_plus_mr_light", {"n": 5_000, "d": 12})]
+    + CORE_STAGES
+    + [("light_membership", {})]
+    + INSPECTION_STAGES,
+}
+
+CORE_PHASE_KEYS = [
+    "num_bins",
+    "num_relevant_intervals",
+    "candidates_per_level",
+    "proving_jobs",
+    "prove_stats",
+    "cores_before_redundancy",
+    "cores_after_redundancy",
+]
+
+
+@lru_cache(maxsize=None)
+def _pipeline_fit(name: str, coreset_size: int | None = None):
+    cls, method, size, mode = PIPELINES[name]
+    driver = cls(
+        P3CPlusConfig(outlier_method=method),
+        P3CPlusMRConfig(
+            num_splits=4,
+            coreset_size=coreset_size or size,
+            coreset_mode=mode,
+        ),
+        obs=Observability(),
+    )
+    return driver, driver.fit(_shared_data())
+
+
+class TestOnePipeline:
+    """Every driver runs P3CPlusMR.fit_splits: the same steps in the
+    same order, one labelling step apart, and one result assembly."""
+
+    @pytest.mark.parametrize("name", PIPELINES)
+    def test_steps_in_order(self, name):
+        driver, result = _pipeline_fit(name)
+        _, method, size, _ = PIPELINES[name]
+        metadata = result.metadata
+        if name == "light":
+            labelling = ["light_membership"]
+        else:
+            labelling = ["em_init_support_sums", "em_init_full_sums"]
+            labelling += [
+                f"em_iter{i}_sums" for i in range(metadata["em_iterations"])
+            ]
+            if method == "mvb":
+                labelling += ["mvb_center_radius", "mvb_moments_sums"]
+            labelling.append("outlier_detection")
+        proving = driver.obs.metrics.gauge_value("ai.candidate_intervals") > 0
+        expected = (
+            (["coreset_summary"] if size else [])
+            + ["histogram_building"]
+            + ["candidate_proving"] * metadata["proving_jobs"]
+            + labelling
+            + ["attribute_inspection_histograms"]
+            + (["ai_proving"] if proving else [])
+            + ["interval_tightening"]
+            + (["coreset_assign"] if size else [])
+        )
+        assert [step.name for step in driver.chain.steps] == expected
+
+    @pytest.mark.parametrize("name", PIPELINES)
+    def test_run_and_stage_spans(self, name):
+        driver, _ = _pipeline_fit(name)
+        spans = [
+            (
+                span.name,
+                {k: v for k, v in span.attrs.items() if k != "run_id"},
+            )
+            for span in driver.obs.tracer.spans
+            if span.kind in ("run", "stage")
+        ]
+        assert spans == SPANS[name]
+
+    @pytest.mark.parametrize("name", PIPELINES)
+    def test_metadata_key_order(self, name):
+        _, result = _pipeline_fit(name)
+        _, _, size, _ = PIPELINES[name]
+        expected = list(CORE_PHASE_KEYS)
+        if size:
+            expected.append("coreset")
+        if name != "light":
+            expected += ["em_iterations", "moment_jobs"]
+        expected += ["mr_jobs", "shuffle_records"]
+        assert list(result.metadata) == expected
+
+    @pytest.mark.parametrize("name", PIPELINES)
+    def test_outliers_gauge_counts_the_result(self, name):
+        driver, result = _pipeline_fit(name)
+        gauge = driver.obs.metrics.gauge_value
+        assert gauge("outliers.final") == len(result.outliers)
+        assert gauge("clusters.found") == len(result.clusters)
+        assert result.metadata["mr_jobs"] == driver.chain.num_jobs
+        if name == "light":
+            # The case the gauge once got wrong: shared points belong to
+            # a cluster, not to the outliers.
+            assert gauge("light.shared_points") > 0
+
+    def test_light_ignores_coreset_size(self):
+        plain_driver, plain = _pipeline_fit("light")
+        driver, summarised = _pipeline_fit("light", coreset_size=1_500)
+        assert result_to_dict(summarised) == result_to_dict(plain)
+        assert [s.name for s in driver.chain.steps] == [
+            s.name for s in plain_driver.chain.steps
+        ]
 
 
 class TestDriverEdgeCases:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro.core.stats import (
+    GAUSSIAN_APPROX_MIN_LAMBDA,
     chi2_critical_value,
     chi_squared_uniformity_pvalue,
     cohens_d_cc,
@@ -53,6 +54,25 @@ class TestPoissonSF:
     def test_sf_is_probability(self, expected, rel):
         p = poisson_sf(rel * expected, expected)
         assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize(
+        "expected", [0.0, 1e-9, 0.5, 3.0, 20.5, 99.999, 100.0, 100.5, 1e4, 1e6]
+    )
+    def test_tails_equal_the_scipy_distributions_bitwise(self, expected):
+        # Counts below the support (0, -1), fractional and integer
+        # counts, and counts deep in both tails of each expected support.
+        observed = [0.0, -1.0, -0.5, 0.3, 1.0, 2.0, 7.5, 30.0, 150.0]
+        observed += [expected * f for f in (0.5, 0.99, 1.01, 1.5, 3.0)]
+        for x in observed:
+            if expected < GAUSSIAN_APPROX_MIN_LAMBDA:
+                k = np.ceil(x) - 1
+                sf = sps.poisson.sf(k, expected)
+                log_sf = sps.poisson.logsf(k, expected)
+            else:
+                z = (x - 0.5 - expected) / np.sqrt(expected)
+                sf, log_sf = sps.norm.sf(z), sps.norm.logsf(z)
+            assert poisson_sf(x, expected) == float(sf), x
+            assert poisson_log_sf(x, expected) == float(log_sf), x
 
 
 class TestSignificance:
