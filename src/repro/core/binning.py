@@ -47,8 +47,10 @@ def bin_index(values: np.ndarray, num_bins: int) -> np.ndarray:
     """Vectorised Eq. 8 binning of values in [0, 1] (0-based bins)."""
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    idx = np.ceil(num_bins * np.asarray(values, dtype=float)).astype(np.int64)
-    return np.clip(idx, 1, num_bins) - 1
+    # Clipped in float, then cast: a product past the int64 range
+    # (1e300, say) would wrap in the cast.
+    idx = np.clip(np.ceil(num_bins * np.asarray(values, dtype=float)), 1, num_bins)
+    return idx.astype(np.int64) - 1
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ P3C+-MR is a *chain* of MapReduce jobs whose count itself matters (the
 paper attributes P3C+-MR's higher runtime to its larger job count and
 EM iterations, Section 7.5.2).  ``JobChain`` runs jobs against one
 runtime and keeps a per-step ledger so drivers and the cost model can
-report "number of MR jobs" and shuffle volumes faithfully.  Each step's
+report "number of MR jobs" and shuffle volumes faithfully.  The ledger
+holds counters and timings, not outputs: a job's output belongs to the
+caller that ran it and is freed when the caller drops it.  Each step's
 shape is the driver's: it passes the reducer count (0 for map-only
 jobs, 1 for the single-reducer aggregations), and the runtime runs the
 step as one map → shuffle → reduce barrier.
@@ -22,7 +24,7 @@ sets that turns "lost an hour to one bad task" into "replay one job".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -41,7 +43,12 @@ from repro.mapreduce.types import InputSplit, JobConf
 
 @dataclass
 class ChainStep:
-    """One executed step of a job chain."""
+    """One executed step of a job chain.
+
+    ``result`` is the job's :class:`JobResult` without its output pairs
+    (conf, counters and timings stay): the chain keeps the ledger, and
+    the caller that ran the job holds the only reference to its output.
+    """
 
     name: str
     result: JobResult
@@ -118,8 +125,13 @@ class JobChain:
         if self.checkpoint is not None:
             return self._run_checkpointed(name, job, splits, conf)
         result = self.runtime.run(job, splits, conf)
-        self.steps.append(ChainStep(name=name, result=result))
+        self._log(name, result)
         return result
+
+    def _log(self, name: str, result: JobResult, restored: bool = False) -> None:
+        self.steps.append(
+            ChainStep(name, replace(result, output=[]), restored=restored)
+        )
 
     def _run_checkpointed(
         self,
@@ -147,9 +159,7 @@ class JobChain:
                 self.runtime.events.emit(
                     EventKind.JOB_SKIPPED, name, duration_s=result.wall_time
                 )
-                self.steps.append(
-                    ChainStep(name=name, result=result, restored=True)
-                )
+                self._log(name, result, restored=True)
                 self._fingerprint = fingerprint
                 return result
         result = self.runtime.run(job, splits, conf)
@@ -165,7 +175,7 @@ class JobChain:
                 "reduce_task_times": list(result.reduce_task_times),
             },
         )
-        self.steps.append(ChainStep(name=name, result=result))
+        self._log(name, result)
         self._fingerprint = fingerprint
         return result
 

@@ -5,11 +5,13 @@ cluster's members); when AI proving is enabled a second job counts the
 support of the augmented signatures "exactly as in the cluster core
 generation step".
 
-Cluster membership ships in the distributed cache as the ``(n,)`` int64
-membership array — one cluster id per row, -1 for outliers and
-excluded points.  The full pipeline passes the OD job's membership
-attribute; the Light variant passes its ``m'`` mapping (Section 6).
-Mappers index the array with their split's row keys.
+Cluster membership ships in the distributed cache as the ``(n,)``
+membership vector — one cluster id per row, -1 for outliers and
+excluded points, in the labelling job's narrow dtype (one byte per row
+up to 128 clusters, :mod:`repro.mr.labels`).  The full pipeline passes
+the OD job's membership attribute; the Light variant passes its ``m'``
+mapping (Section 6).  Mappers index the array with their split's row
+keys.
 """
 
 from __future__ import annotations

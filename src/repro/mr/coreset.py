@@ -52,6 +52,8 @@ from repro.mapreduce import (
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 from repro.mr.histogram import reject_non_finite
+from repro.mr.labels import LABEL_FORMAT, label_dtype, scatter_labels
+from repro.mr.support import compact_rows
 
 _SUMMARY_KEY_PREFIX = "coreset"
 
@@ -215,23 +217,24 @@ class AssignMapper(BatchMapper):
 
     Scores each delivered chunk as it arrives, so peak map memory is
     the chunk, not the split (scoring is row-wise, so the labels do not
-    depend on the chunking).  Emits one packed ``(2, rows)`` int64
-    array per chunk — ``[row indices | labels]``, keyed by the chunk's
-    first row — instead of per-point pairs, so the final full scan
-    ships O(chunks) values, not O(n).
+    depend on the chunking).  Emits one label block ``(rows, labels)``
+    per chunk, keyed by its first row (:mod:`repro.mr.labels`): a
+    ``range`` and one narrow label per point, so the final full scan
+    ships about a byte per point.
     """
 
     def setup(self, context: Context) -> None:
         self._model = context.cache["fitted_model"]
+        self._dtype = label_dtype(self._model.num_clusters)
 
     def map_batch(
         self, keys: Sequence[Any], block: np.ndarray, context: Context
     ) -> None:
         if len(block) == 0:
             return
-        labels = self._model.assign(block).cluster_ids
-        rows = np.asarray(keys, dtype=np.int64)
-        context.emit(int(rows[0]), np.stack([rows, labels.astype(np.int64)]))
+        labels = self._model.assign(block).cluster_ids.astype(self._dtype)
+        rows = compact_rows(keys)
+        context.emit(int(rows[0]), (rows, labels))
 
 
 def run_assign_job(
@@ -243,16 +246,16 @@ def run_assign_job(
 ) -> np.ndarray:
     """Label every original point with the coreset-fitted model.
 
-    Returns the ``(n,)`` int64 membership vector (cluster id, -1 for
-    outliers) — the same contract as the OD job's output, produced by
-    the serving scorer's batched ``assign`` in one map-only pass.
+    Returns the ``(n,)`` membership vector (cluster id, -1 for
+    outliers) in :func:`~repro.mr.labels.label_dtype` of the model's
+    cluster count — the same contract as the OD job's output, produced
+    by the serving scorer's batched ``assign`` in one map-only pass.
     """
     job = Job(
         mapper_factory=AssignMapper,
         cache=DistributedCache({"fitted_model": model}),
     )
-    result = chain.run(step_name, job, splits, num_reducers=0)
-    membership = np.full(n, -1, dtype=np.int64)
-    for _, packed in result.output:
-        membership[packed[0]] = packed[1]
-    return membership
+    result = chain.run(
+        step_name, job, splits, num_reducers=0, label_format=LABEL_FORMAT
+    )
+    return scatter_labels(result.output, n, label_dtype(model.num_clusters))

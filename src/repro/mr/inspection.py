@@ -38,8 +38,10 @@ def mr_attribute_inspection(
     Mirrors :func:`repro.core.attribute_inspection.inspect_attributes`
     for every cluster at once: one histogram job, driver-side interval
     detection, one optional AI-proving job.  ``membership`` is the
-    ``(n,)`` int64 cluster id per row (-1 = excluded).  ``obs`` records the AI
-    candidate count and the proving accept/reject attribution.
+    ``(n,)`` cluster id per row (-1 = excluded), in any signed integer
+    dtype: the labelling jobs' narrow vectors ship as they are.  ``obs``
+    records the AI candidate count and the proving accept/reject
+    attribution.
     """
     obs = obs or NULL_OBS
     bins_by_cluster = {}

@@ -41,8 +41,9 @@ def run_od_job(
     n: int,
     step_name: str = "outlier_detection",
 ) -> np.ndarray:
-    """Run the OD job; returns the ``(n,)`` int64 membership vector
-    (cluster id, -1 for outliers).
+    """Run the OD job; returns the ``(n,)`` membership vector (cluster
+    id, -1 for outliers) in the narrow dtype of
+    :func:`~repro.mr.labels.label_dtype`.
 
     ``model`` is the fit's :class:`~repro.serving.FittedModel`: its
     outlier moments and per-cluster counts fix the chi-squared cutoffs

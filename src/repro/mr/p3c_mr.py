@@ -316,27 +316,20 @@ class P3CPlusMR:
             else:
                 points = FitPoints(splits=splits, rows=n, total_weight=n)
                 cores, diagnostics, index = self._run_core_phase(splits, n, chain)
-            if not cores:
-                diagnostics["mr_jobs"] = chain.num_jobs
-                return ClusteringResult(
-                    clusters=[],
-                    outliers=np.arange(n),
-                    n_points=n,
-                    n_dims=d,
-                    metadata=diagnostics,
+            # No cores: no cluster, and every point is an outlier.
+            attributes, signatures, assignment = {}, {}, None
+            if cores:
+                membership, assignment = self._label(
+                    chain, points, cores, index, diagnostics, n, d
                 )
-
-            membership, assignment = self._label(
-                chain, points, cores, index, diagnostics, n, d
-            )
-            attributes, signatures = self._inspect(
-                chain, points.splits, cores, membership
-            )
-            if coreset:
-                with obs.stage("coreset_assign"):
-                    assignment = run_assign_job(
-                        chain, splits, self.fitted_model, n
-                    )
+                attributes, signatures = self._inspect(
+                    chain, points.splits, cores, membership
+                )
+                if coreset:
+                    with obs.stage("coreset_assign"):
+                        assignment = run_assign_job(
+                            chain, splits, self.fitted_model, n
+                        )
 
             clusters = [
                 ProjectedCluster(

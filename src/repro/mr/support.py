@@ -55,7 +55,7 @@ class IntervalIndex:
     splits: list[InputSplit]
 
 
-def _rows(keys: Sequence[Any]) -> range | np.ndarray:
+def compact_rows(keys: Sequence[Any]) -> range | np.ndarray:
     """A chunk's record keys as int64 row indices, or as a ``range``
     when they run consecutively, which costs no bytes per point."""
     keys = np.asarray(keys, dtype=np.int64)
@@ -105,7 +105,7 @@ class IntervalIndexMapper(_CountingMapper, BatchMapper):
             chunk_keys = keys[start : start + CHUNK_ROWS]
             bitmaps = self._rssc.pack(block[start : start + CHUNK_ROWS])
             self._count(chunk_keys, bitmaps)
-            self._chunks.append((_rows(chunk_keys), bitmaps))
+            self._chunks.append((compact_rows(chunk_keys), bitmaps))
 
     def cleanup(self, context: Context) -> None:
         super().cleanup(context)

@@ -67,6 +67,28 @@ class TestBinIndex:
         with pytest.raises(ValueError):
             bin_index(np.array([0.5]), 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_values_clamp_without_wrapping(self):
+        """Values past [0, 1] land in the edge bins, even where
+        ``num_bins * x`` leaves the int64 range (1e300 once wrapped to
+        bin 0 with a cast warning)."""
+        values = np.array([1e300, -1e300, 1e17, 1.5, -0.5])
+        assert bin_index(values, 59).tolist() == [58, 0, 58, 58, 0]
+
+    @given(
+        hnp.arrays(
+            float,
+            st.integers(1, 50),
+            elements=st.floats(-1e15, 1e15, allow_nan=False),
+        ),
+        st.integers(1, 64),
+    )
+    def test_clamp_agrees_with_clipping_the_integer_bins(self, values, m):
+        """Wherever ``ceil(m * x)`` fits int64, the bins are the
+        integer-clipped Eq. 8 bins."""
+        ceiled = np.ceil(m * values).astype(np.int64)
+        assert bin_index(values, m).tolist() == (np.clip(ceiled, 1, m) - 1).tolist()
+
     @given(
         hnp.arrays(
             float,

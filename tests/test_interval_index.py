@@ -28,7 +28,7 @@ from repro.mapreduce import (
 from repro.mapreduce.events import EventKind
 from repro.mapreduce.fs import make_npy_splits
 from repro.mapreduce.types import InputSplit
-from repro.mr import P3CPlusMRConfig, P3CPlusMRLight
+from repro.mr import P3CPlusMRConfig, P3CPlusMRLight, core_generation
 from repro.mr.aggregate import sum_partials
 from repro.mr.rssc import CHUNK_ROWS
 from repro.mr.support import build_interval_index, run_support_job
@@ -39,6 +39,25 @@ def _fit(data: np.ndarray, **mr_kwargs) -> tuple[P3CPlusMRLight, str]:
     algo = P3CPlusMRLight(mr_config=P3CPlusMRConfig(num_splits=4, **mr_kwargs))
     result = algo.fit(data)
     return algo, json.dumps(result_to_dict(result), sort_keys=True)
+
+
+@pytest.fixture
+def level_one_records(monkeypatch) -> list:
+    """The index records of each fit's level-1 proving job, as its
+    output carried them: captured from the index it returns where core
+    generation calls it (the chain keeps no job output)."""
+    records: list = []
+    build = core_generation.build_interval_index
+
+    def spy(*args, **kwargs):
+        supports, index = build(*args, **kwargs)
+        records.append(
+            [record for split in index.splits for record in split.records]
+        )
+        return supports, index
+
+    monkeypatch.setattr(core_generation, "build_interval_index", spy)
+    return records
 
 
 def _core_labels(algo: P3CPlusMRLight, result, n: int) -> np.ndarray:
@@ -121,7 +140,7 @@ def test_no_raw_row_read_after_level_one(small_dataset, monkeypatch):
     assert json.dumps(result_to_dict(counted), sort_keys=True) == plain
 
 
-def test_index_keeps_non_consecutive_row_keys(small_dataset):
+def test_index_keeps_non_consecutive_row_keys(small_dataset, level_one_records):
     """Splits of explicit records in shuffled order: each packed chunk
     keeps its keys as an array, and the fit matches the array splits."""
     data = small_dataset.data
@@ -129,7 +148,7 @@ def test_index_keeps_non_consecutive_row_keys(small_dataset):
     splits = split_records([(int(i), data[i]) for i in order], 4)
     algo = P3CPlusMRLight(mr_config=P3CPlusMRConfig(num_splits=4))
     shuffled = algo.fit_splits(splits, *data.shape)
-    level_one = algo.chain.steps[1].result.output
+    level_one = level_one_records[0]
     rows = [
         chunk_rows
         for key, chunks in level_one
@@ -168,7 +187,7 @@ def test_chaos_on_index_jobs_matches_clean_fit(small_dataset, seed):
 
 
 def test_one_byte_budget_on_npy_splits_matches_in_heap_fit(
-    small_dataset, tmp_path
+    small_dataset, tmp_path, level_one_records
 ):
     data = small_dataset.data
     path = tmp_path / "data.npy"
@@ -183,14 +202,12 @@ def test_one_byte_budget_on_npy_splits_matches_in_heap_fit(
     # The budget delivers one row per batch: one packed chunk per point.
     level_one = algo.chain.steps[1]
     assert level_one.name == "candidate_proving"
-    index = [
-        value for key, value in level_one.result.output if key != "supports"
-    ]
+    index = [value for key, value in level_one_records[0] if key != "supports"]
     assert [len(chunks) for chunks in index] == [len(split) for split in splits]
     assert budgeted == _fit(data)[1]
 
 
-def test_shuffle_bytes_price_the_index(small_dataset):
+def test_shuffle_bytes_price_the_index(small_dataset, level_one_records):
     """``framework.shuffle_bytes`` of the level-1 proving job counts the
     packed bitmaps its index records carry."""
     algo, _ = _fit(small_dataset.data)
@@ -198,7 +215,7 @@ def test_shuffle_bytes_price_the_index(small_dataset):
     assert level_one.name == "candidate_proving"
     bitmap_bytes = sum(
         bitmaps.nbytes
-        for key, chunks in level_one.result.output
+        for key, chunks in level_one_records[0]
         if key != "supports"
         for _, bitmaps in chunks
     )

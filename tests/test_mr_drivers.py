@@ -406,6 +406,28 @@ class TestDriverEdgeCases:
         assert result.num_clusters == 0
         assert len(result.outliers) == 800
 
+    @pytest.mark.parametrize("name", ["exact", "coreset", "light"])
+    def test_empty_fit_takes_the_one_result_assembly(self, rng, name):
+        """No cores: 0 clusters, every point an outlier, and the same
+        metadata and gauges as any other fit."""
+        data = rng.uniform(size=(800, 5))
+        config = P3CPlusMRConfig(
+            num_splits=3, coreset_size=400 if name == "coreset" else None
+        )
+        cls = P3CPlusMRLight if name == "light" else P3CPlusMR
+        driver = cls(mr_config=config, obs=Observability())
+        result = driver.fit(data)
+        assert result.num_clusters == 0
+        np.testing.assert_array_equal(result.outliers, np.arange(800))
+        assert result.metadata["mr_jobs"] == driver.chain.num_jobs
+        assert (
+            result.metadata["shuffle_records"]
+            == driver.chain.total_shuffle_records
+        )
+        gauge = driver.obs.metrics.gauge_value
+        assert gauge("clusters.found") == 0
+        assert gauge("outliers.final") == 800
+
     def test_unnormalised_data_rejected(self):
         data = np.full((10, 2), 3.5)
         with pytest.raises(ValueError, match="normalis"):
