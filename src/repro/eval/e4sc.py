@@ -38,6 +38,14 @@ def _pairwise_f1(
     return f1
 
 
+def _universe(clusters: list[ProjectedCluster]) -> np.ndarray:
+    """The sorted distinct objects of ``clusters``: members are
+    non-negative row indices, so a ``bincount`` marks them in one pass
+    (a hash ``unique`` took seconds on millions of members)."""
+    members = np.concatenate([c.members for c in clusters])
+    return np.flatnonzero(np.bincount(members))
+
+
 def _subsample_clusters(
     found: list[ProjectedCluster],
     hidden: list[ProjectedCluster],
@@ -52,7 +60,7 @@ def _subsample_clusters(
     concentrates around the exact score (cluster sizes are the only
     quantities entering the F1 numerator and denominator).
     """
-    universe = np.unique(np.concatenate([c.members for c in found + hidden]))
+    universe = _universe(found + hidden)
     if len(universe) <= max_points:
         return found, hidden
     rng = np.random.default_rng(seed)

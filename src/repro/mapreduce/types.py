@@ -34,8 +34,9 @@ def bucket_nbytes(bucket: list[tuple[Any, Any]]) -> int:
 
     An estimator, not an exact wire size: cheap enough for the map hot
     path, and it prices the arrays nested in tuple and list values
-    (the interval index's packed chunks, tightening's ``(mins, maxs)``)
-    as well as bare ndarray values.
+    (the interval index's packed chunks, the attribute-inspection
+    histogram job's ``(counts, mins, maxs)``) as well as bare ndarray
+    values.
     """
     return sum(_PAIR_OVERHEAD_B + _value_nbytes(value) for _, value in bucket)
 

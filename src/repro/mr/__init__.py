@@ -12,8 +12,9 @@ Each module maps onto one subsection of Section 5:
   (the paper's sums + covariance pair in one centred pass),
 - :mod:`repro.mr.outlier_jobs` — 5.5 OD job (the serving scorer's
   batched ``assign``) and the MVB jobs,
-- :mod:`repro.mr.attribute_jobs` — 5.6 attribute inspection,
-- :mod:`repro.mr.tightening_job` — 5.7 interval tightening,
+- :mod:`repro.mr.attribute_jobs` — 5.6 attribute inspection; its
+  histogram job also takes the member extremes of 5.7 interval
+  tightening,
 - :mod:`repro.mr.p3c_mr`       — the full P3C+-MR driver,
 - :mod:`repro.mr.light_jobs`   — the Light membership job (Section 6),
 - :mod:`repro.mr.p3c_mr_light` — the P3C+-MR-Light driver (Section 6).

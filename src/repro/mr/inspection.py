@@ -1,8 +1,9 @@
 """Driver-side orchestration of attribute inspection over MR jobs.
 
-The histograms come from :func:`repro.mr.attribute_jobs.run_cluster_histogram_job`;
-the chi-squared marking runs in the driver (cheap, Section 5.2's
-argument applies); AI proving, when enabled, needs the augmented-
+The histograms come from :func:`repro.mr.attribute_jobs.run_cluster_histogram_job`,
+which also takes each cluster's member extremes for interval
+tightening; the chi-squared marking runs in the driver (cheap, Section
+5.2's argument applies); AI proving, when enabled, needs the augmented-
 signature supports and therefore one more MR job (Section 5.6).
 """
 
@@ -32,16 +33,18 @@ def mr_attribute_inspection(
     theta_cc: float | None = 0.35,
     max_bins: int | None = 200,
     obs: Observability | None = None,
-) -> dict[int, frozenset[int]]:
-    """Per-cluster relevant attributes after MR attribute inspection.
+) -> tuple[dict[int, frozenset[int]], dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """Per-cluster relevant attributes after MR attribute inspection,
+    and the ``(mins, maxs)`` of every attribute over each cluster's
+    members (the extremes interval tightening needs, Section 5.7).
 
     Mirrors :func:`repro.core.attribute_inspection.inspect_attributes`
     for every cluster at once: one histogram job, driver-side interval
-    detection, one optional AI-proving job.  ``membership`` is the
-    ``(n,)`` cluster id per row (-1 = excluded), in any signed integer
-    dtype: the labelling jobs' narrow vectors ship as they are.  ``obs``
-    records the AI candidate count and the proving accept/reject
-    attribution.
+    detection, one optional AI-proving job.  Only clusters with members
+    have extremes.  ``membership`` is the ``(n,)`` cluster id per row
+    (-1 = excluded), in any signed integer dtype: the labelling jobs'
+    narrow vectors ship as they are.  ``obs`` records the AI candidate
+    count and the proving accept/reject attribution.
     """
     obs = obs or NULL_OBS
     bins_by_cluster = {}
@@ -53,9 +56,9 @@ def mr_attribute_inspection(
             bins = min(bins, max_bins)
         bins_by_cluster[cid] = bins
     if not bins_by_cluster:
-        return dict(known_attributes)
+        return dict(known_attributes), {}
 
-    histograms = run_cluster_histogram_job(
+    histograms, extremes = run_cluster_histogram_job(
         chain, splits, membership, bins_by_cluster
     )
 
@@ -74,10 +77,7 @@ def mr_attribute_inspection(
         cid: set(attrs) for cid, attrs in known_attributes.items()
     }
     obs.gauge("ai.candidate_intervals", len(candidates))
-    if not candidates:
-        return {cid: frozenset(attrs) for cid, attrs in accepted.items()}
-
-    if prove:
+    if prove and candidates:
         supports = run_ai_proving_job(chain, splits, membership, candidates)
         for (cid, interval), observed in supports.items():
             expected = sizes[cid] * interval.width
@@ -94,4 +94,4 @@ def mr_attribute_inspection(
             obs.count("ai.accepted")
             accepted.setdefault(cid, set()).add(interval.attribute)
 
-    return {cid: frozenset(attrs) for cid, attrs in accepted.items()}
+    return {cid: frozenset(attrs) for cid, attrs in accepted.items()}, extremes

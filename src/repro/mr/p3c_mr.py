@@ -10,12 +10,13 @@ Job plan (one line per MR job):
 5.  MVB centre/radius + 1 fused moment job (MVB only)  (Section 5.5)
 6.  OD job: the serving scorer, map-only               (Section 5.5)
 7.  attribute-inspection histogram job (+ AI proving)  (Section 5.6)
-8.  interval-tightening job                            (Section 5.7)
+    that also takes the tightening extremes            (Section 5.7)
 
 Each moment estimate is one centred pass where the paper runs a sums
-and a covariance job (:mod:`repro.mr.em_jobs`; :func:`paper_plan_jobs`
-gives the paper's count).  OD runs the fitted serving model's
-``assign``, so the fit's outlier verdict is the serving verdict.
+and a covariance job (:mod:`repro.mr.em_jobs`), and tightening runs no
+job of its own; :func:`paper_plan_jobs` gives the paper's count.  OD
+runs the fitted serving model's ``assign``, so the fit's outlier
+verdict is the serving verdict.
 
 Relevant-interval detection stays in the driver (Section 5.2: at most
 ``d * k`` chi-squared statistics — parallelising it buys nothing).
@@ -39,7 +40,7 @@ import numpy as np
 from repro.core.binning import Histogram
 from repro.core.intervals import find_relevant_intervals
 from repro.core.p3c_plus import P3CPlusConfig, _validate_data
-from repro.core.types import ClusteringResult, ProjectedCluster
+from repro.core.types import ClusteringResult, Interval, ProjectedCluster, Signature
 from repro.mapreduce import (
     FaultPlan,
     JobChain,
@@ -54,7 +55,6 @@ from repro.mr.em_jobs import run_em_mr
 from repro.mr.histogram import run_histogram_job
 from repro.mr.inspection import mr_attribute_inspection
 from repro.mr.outlier_jobs import run_mvb_jobs, run_od_job
-from repro.mr.tightening_job import run_tightening_job
 from repro.mr.weights import canonical_weights
 from repro.obs import NULL_OBS, Observability
 
@@ -70,11 +70,33 @@ def paper_plan_jobs(metadata: dict) -> int:
     Section 5.4 computes each moment estimate with two jobs, a sums job
     and a covariance job about the finished means; this implementation
     fuses the pair into one centred pass (``moment_jobs`` in the
-    metadata).  The paper's plan therefore runs one more job per
-    moment estimate than were measured.  The cost-model projections
-    (Figure 7, Section 7.5.2) price this plan.
+    metadata).  Section 5.7 tightens the intervals of a fit that found
+    cores in a job of its own; here the attribute-inspection histogram
+    job takes the extremes.  The paper's plan therefore runs one more
+    job per moment estimate, and one for tightening, than were
+    measured.  The cost-model projections (Figure 7, Section 7.5.2)
+    price this plan.
     """
-    return int(metadata.get("mr_jobs", 1)) + int(metadata.get("moment_jobs", 0))
+    jobs = int(metadata.get("mr_jobs", 1)) + int(metadata.get("moment_jobs", 0))
+    return jobs + int(metadata.get("cores_after_redundancy", 0) > 0)
+
+
+# perfbench/ledger.py times the ``tightening`` stage by rebinding this
+# name in this module, so it keeps the name of the job it replaced.
+def run_tightening_job(
+    extremes: dict[int, tuple[np.ndarray, np.ndarray]],
+    cluster_attributes: dict[int, tuple[int, ...]],
+) -> dict[int, Signature]:
+    """Tightened signature per cluster id (Section 5.7): the members'
+    ``[min, max]`` on each relevant attribute, from the ``(mins, maxs)``
+    the attribute-inspection histogram job took.  Runs no job."""
+    signatures = {}
+    for cid, attributes in cluster_attributes.items():
+        mins, maxs = extremes[cid]
+        signatures[cid] = Signature(
+            [Interval(a, float(mins[a]), float(maxs[a])) for a in attributes]
+        )
+    return signatures
 
 
 @dataclass(frozen=True)
@@ -473,7 +495,9 @@ class P3CPlusMR:
         cores,
         membership: np.ndarray,
     ) -> tuple[dict[int, tuple[int, ...]], dict]:
-        """Attribute inspection + tightening over ``membership``.
+        """Attribute inspection + tightening over ``membership``: one
+        histogram pass (and the optional AI-proving job), whose member
+        extremes give the tightened signatures.
 
         Returns the relevant attributes of each cluster that has
         members and at least one relevant attribute (the clusters the
@@ -485,7 +509,7 @@ class P3CPlusMR:
         }
         known = {j: core.attributes for j, core in enumerate(cores)}
         with obs.stage("attribute_inspection", prove=config.ai_proving):
-            attributes = mr_attribute_inspection(
+            attributes, extremes = mr_attribute_inspection(
                 chain,
                 splits,
                 membership,
@@ -505,9 +529,7 @@ class P3CPlusMR:
             if sizes[j] > 0 and attributes.get(j)
         }
         with obs.stage("tightening"):
-            signatures = run_tightening_job(
-                chain, splits, membership, cluster_attributes
-            )
+            signatures = run_tightening_job(extremes, cluster_attributes)
         return cluster_attributes, signatures
 
     def _register_fitted(

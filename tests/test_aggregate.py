@@ -18,7 +18,7 @@ import pytest
 
 from repro.mapreduce.job import Context
 from repro.mr.aggregate import sum_partials
-from repro.mr.attribute_jobs import MatrixSumReducer
+from repro.mr.attribute_jobs import ClusterHistogramReducer
 from repro.mr.em_jobs import MomentSumsReducer
 from repro.mr.histogram import HistogramSumReducer
 from repro.mr.support import SupportSumReducer
@@ -56,7 +56,7 @@ def test_sum_partials_single_value_returns_fresh_array():
 
 @pytest.mark.parametrize(
     "reducer_cls",
-    [HistogramSumReducer, SupportSumReducer, MatrixSumReducer, MomentSumsReducer],
+    [HistogramSumReducer, SupportSumReducer, MomentSumsReducer],
 )
 def test_sum_reducers_are_pure_under_reexecution(reducer_cls):
     """Reducing the same cached values twice yields identical output
@@ -76,3 +76,29 @@ def test_sum_reducers_are_pure_under_reexecution(reducer_cls):
     assert np.array_equal(total1, total2)
     for value, original in zip(values, originals):
         assert np.array_equal(value, original)
+
+
+def test_cluster_histogram_reducer_is_pure_under_reexecution():
+    """The attribute-inspection reducer sums ``(counts, mins, maxs)``
+    partials and takes their extremes into fresh arrays, twice over the
+    same cached values."""
+    values = [
+        (np.arange(12).reshape(3, 4) * k, np.full(3, 0.5 - 0.1 * k), np.full(3, k))
+        for k in (1, 2, 5)
+    ]
+    originals = [tuple(part.copy() for part in value) for value in values]
+
+    outputs = []
+    for _ in range(2):
+        context = _context()
+        ClusterHistogramReducer().reduce("k", values, context)
+        (key, total), = context.drain()
+        assert key == "k"
+        outputs.append(total)
+    for counts, mins, maxs in outputs:
+        assert np.array_equal(counts, np.arange(12).reshape(3, 4) * 8)
+        assert np.array_equal(mins, np.full(3, 0.0))
+        assert np.array_equal(maxs, np.full(3, 5))
+    for value, original in zip(values, originals):
+        for part, before in zip(value, original):
+            assert np.array_equal(part, before)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.types import ProjectedCluster
 from repro.eval import ce_score, e4sc_score, f1_score, rnia_score
+from repro.eval import e4sc as e4sc_module
 from repro.eval.matching import (
     micro_object_count,
     micro_object_intersection,
@@ -258,3 +259,52 @@ class TestE4SCSampling:
     def test_invalid_max_points_rejected(self):
         with pytest.raises(ValueError, match="max_points"):
             e4sc_score(TRUTH, TRUTH, max_points=0)
+
+    @staticmethod
+    def _unique_universe(clusters):
+        """The universe as a hash/sort ``unique`` builds it (the oracle)."""
+        return np.unique(np.concatenate([c.members for c in clusters]))
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [[5, 1, 9], [9, 3, 1, 12]],  # overlapping sets
+            [[4, 4, 4, 0], [0, 7, 7]],  # duplicated members
+            [[], [2, 6]],  # one empty set
+            [[], []],  # every set empty
+            [[0], [1_000]],  # a sparse universe
+        ],
+        ids=["overlapping", "duplicated", "one_empty", "all_empty", "sparse"],
+    )
+    def test_universe_matches_unique(self, members):
+        clusters = [_cluster(m, {0}) for m in members]
+        universe = e4sc_module._universe(clusters)
+        oracle = self._unique_universe(clusters)
+        assert universe.dtype == oracle.dtype
+        assert np.array_equal(universe, oracle)
+
+    def test_capped_score_unchanged(self, monkeypatch):
+        """Overlapping found clusters over a shuffled, partly covered
+        universe: the capped scores equal the ``unique``-built sample's,
+        pinned here."""
+        rng = np.random.default_rng(7)
+        perm = rng.permutation(6_000)
+        hidden = [
+            _cluster(np.sort(perm[:2_500]), {0, 1}),
+            _cluster(np.sort(perm[2_500:5_000]), {2, 3, 4}),
+        ]
+        found = [
+            _cluster(np.sort(perm[100:2_700]), {0, 1}),
+            _cluster(np.sort(perm[2_600:5_500]), {2, 3}),
+        ]
+        cases = [(700, 0, 0.843203678157588), (1_500, 3, 0.8324087554242686)]
+        scores = [
+            e4sc_score(found, hidden, max_points=cap, seed=seed)
+            for cap, seed, _ in cases
+        ]
+        assert scores == [pinned for _, _, pinned in cases]
+        monkeypatch.setattr(e4sc_module, "_universe", self._unique_universe)
+        assert scores == [
+            e4sc_score(found, hidden, max_points=cap, seed=seed)
+            for cap, seed, _ in cases
+        ]

@@ -21,11 +21,12 @@ from repro.core.p3c_plus import (
     P3CPlusLight,
     generate_cluster_cores,
 )
+from repro.core.tightening import tighten_intervals
 from repro.data import GeneratorConfig, generate_synthetic
 from repro.data.io import result_to_dict
 from repro.eval import e4sc_score
 from repro.mapreduce.types import split_records
-from repro.mr import P3CPlusMR, P3CPlusMRConfig, P3CPlusMRLight
+from repro.mr import P3CPlusMR, P3CPlusMRConfig, P3CPlusMRLight, p3c_mr, paper_plan_jobs
 from repro.mr.core_generation import collection_limit, stop_collecting
 from repro.obs import Observability
 
@@ -293,6 +294,22 @@ SPANS = {
     + INSPECTION_STAGES,
 }
 
+#: The paper's job plan for each pipeline's fit and for the empty fits
+#: (``empty_*``): the measured jobs, one more per fused moment estimate
+#: and, when the fit found cores, the interval-tightening job (Section
+#: 5.7) that rides in the attribute-inspection pass here.  These are the
+#: values ``paper_plan_jobs`` gave when tightening ran its own job.
+PAPER_PLAN_JOBS = {
+    "exact_mvb": 26,
+    "exact_naive": 23,
+    "coreset_uniform": 29,
+    "coreset_lightweight": 40,
+    "light": 7,
+    "empty_exact": 1,
+    "empty_coreset": 2,
+    "empty_light": 1,
+}
+
 CORE_PHASE_KEYS = [
     "num_bins",
     "num_relevant_intervals",
@@ -346,7 +363,6 @@ class TestOnePipeline:
             + labelling
             + ["attribute_inspection_histograms"]
             + (["ai_proving"] if proving else [])
-            + ["interval_tightening"]
             + (["coreset_assign"] if size else [])
         )
         assert [step.name for step in driver.chain.steps] == expected
@@ -388,6 +404,44 @@ class TestOnePipeline:
             # a cluster, not to the outliers.
             assert gauge("light.shared_points") > 0
 
+    @pytest.mark.parametrize("name", PIPELINES)
+    def test_paper_plan_jobs(self, name):
+        _, result = _pipeline_fit(name)
+        assert paper_plan_jobs(result.metadata) == PAPER_PLAN_JOBS[name]
+
+    @pytest.mark.parametrize("name", ["exact_mvb", "coreset_uniform", "light"])
+    def test_signatures_are_serial_tightening(self, monkeypatch, name):
+        """Each reported signature is the serial tightening of the
+        cluster's members under the membership attribute inspection
+        read: the OD labels, the summary rows' labels on the coreset
+        path, or Light's ``m'``."""
+        seen = {}
+        inspect = p3c_mr.mr_attribute_inspection
+
+        def spy(chain, splits, membership, *args, **kwargs):
+            seen.update(splits=splits, membership=membership)
+            return inspect(chain, splits, membership, *args, **kwargs)
+
+        monkeypatch.setattr(p3c_mr, "mr_attribute_inspection", spy)
+        cls, method, size, mode = PIPELINES[name]
+        driver = cls(
+            P3CPlusConfig(outlier_method=method),
+            P3CPlusMRConfig(num_splits=4, coreset_size=size, coreset_mode=mode),
+        )
+        result = driver.fit(_shared_data())
+        membership = seen["membership"]
+        data = np.empty((len(membership), result.n_dims))
+        for split in seen["splits"]:
+            keys, block = split.records.as_block()
+            data[keys] = block
+        cores = driver.fitted_model.cores
+        assert result.clusters
+        for cluster in result.clusters:
+            j = next(j for j, core in enumerate(cores) if core is cluster.core)
+            assert cluster.signature == tighten_intervals(
+                data, membership == j, cluster.relevant_attributes
+            )
+
     def test_light_ignores_coreset_size(self):
         plain_driver, plain = _pipeline_fit("light")
         driver, summarised = _pipeline_fit("light", coreset_size=1_500)
@@ -427,6 +481,9 @@ class TestDriverEdgeCases:
         gauge = driver.obs.metrics.gauge_value
         assert gauge("clusters.found") == 0
         assert gauge("outliers.final") == 800
+        # Without cores the paper's plan runs no tightening job either.
+        assert result.metadata["cores_after_redundancy"] == 0
+        assert paper_plan_jobs(result.metadata) == PAPER_PLAN_JOBS["empty_" + name]
 
     def test_unnormalised_data_rejected(self):
         data = np.full((10, 2), 3.5)

@@ -38,7 +38,7 @@ class TestInspectionParity:
 
         chain = JobChain(MapReduceRuntime())
         splits = split_records(data, 4)
-        mr_attrs = mr_attribute_inspection(
+        mr_attrs, _ = mr_attribute_inspection(
             chain,
             splits,
             membership,
@@ -56,7 +56,7 @@ class TestInspectionParity:
         )
         chain = JobChain(MapReduceRuntime())
         splits = split_records(data, 3)
-        mr_attrs = mr_attribute_inspection(
+        mr_attrs, _ = mr_attribute_inspection(
             chain,
             splits,
             membership,
@@ -71,7 +71,7 @@ class TestInspectionParity:
         membership = np.full(len(data), -1, dtype=np.int64)
         chain = JobChain(MapReduceRuntime())
         splits = split_records(data, 2)
-        mr_attrs = mr_attribute_inspection(
+        mr_attrs, _ = mr_attribute_inspection(
             chain,
             splits,
             membership,
